@@ -7,24 +7,39 @@
 
 namespace quora::conn {
 
-ComponentTracker::ComponentTracker(const LiveNetwork& live) : live_(&live) {
+ComponentTracker::ComponentTracker(const LiveNetwork& live)
+    : live_(&live),
+      // Flavor by cost model, not just row availability: the dense pass
+      // reads ~n^2/64 words (every live site ORs its full row once, plus a
+      // frontier scan per BFS level), the CSR pass ~n + 2m edge probes.
+      // Dense wins on dense graphs (complete-101: one row AND tests 64
+      // neighbors) and loses badly on deep narrow ones (ring-101: ~n/2
+      // levels of whole-bitset work for 2 real neighbors each), so require
+      // m >= n^2/64.
+      dense_(live.has_dense_adjacency() &&
+             64ull * live.topology().link_count() >=
+                 std::uint64_t{live.topology().site_count()} *
+                     live.topology().site_count()),
+      // Every site recovery appends a fresh label, at most one per journal
+      // slot per window, hence the headroom (sized by the network's
+      // configured journal, not the default); sync_slow() renumbers in
+      // place before a window could outgrow it.
+      label_capacity_(live.topology().site_count() + live.journal_capacity()) {
   const auto n = live.topology().site_count();
   // Reserve once so steady-state refreshes never touch the allocator.
-  // Incremental site recoveries append fresh labels, at most one per
-  // journal slot between rebuilds, hence the extra headroom (sized by the
-  // network's configured journal, not the default).
-  const std::size_t max_labels = n + live.journal_capacity();
   label_.reserve(n);
-  parent_.reserve(max_labels);
-  comp_votes_.reserve(max_labels);
-  comp_size_.reserve(max_labels);
+  parent_.reserve(label_capacity_);
+  comp_votes_.reserve(label_capacity_);
+  comp_size_.reserve(label_capacity_);
   member_storage_.reserve(n);
   member_offsets_.reserve(n + 1);
   bfs_stack_.reserve(n);
+  witnesses_.reserve(live.journal_capacity());
+  checked_roots_.reserve(live.journal_capacity());
   unassigned_words_.reserve(bits::word_count(n));
   frontier_words_.reserve(bits::word_count(n));
   member_words_scratch_.reserve(bits::word_count(n));
-  remap_.reserve(max_labels);
+  remap_.reserve(label_capacity_);
   votes_scratch_.reserve(n);
   size_scratch_.reserve(n);
   cursor_scratch_.reserve(n + 1);
@@ -71,16 +86,16 @@ void ComponentTracker::apply_site_up(net::SiteId s) const {
   // Neighbor-up is judged by *our* labeling, not the live flags: a
   // neighbor that recovers later in the replay window still carries
   // kNoComponent here, and its own delta performs the union when we reach
-  // it. Link state may be read from the live network because a link that
-  // has gone down since this delta forces a full rebuild before the
-  // replay commits, and early unions are erased by that rebuild.
+  // it. Link state is read from the final network: a link that is up at
+  // the end of the window joins its endpoints no matter when it came up,
+  // and one that is down at the end joins nothing, so no operational link
+  // of the final network ever crosses two labels.
   const std::uint8_t* link_up = live_->link_up_flags().data();
   for (const net::Topology::Edge& e : topo.neighbors(s)) {
     if (!link_up[e.link]) continue;
     if (label_[e.neighbor] == kNoComponent) continue;
     unite(lbl, label_[e.neighbor]);
   }
-  compact_ = false;
 }
 
 void ComponentTracker::apply_link_up(net::LinkId l) const {
@@ -89,7 +104,102 @@ void ComponentTracker::apply_link_up(net::LinkId l) const {
   const std::int32_t lb = label_[e.b];
   if (la == kNoComponent || lb == kNoComponent) return;
   unite(la, lb);
-  compact_ = false;
+}
+
+bool ComponentTracker::apply_site_down(net::SiteId s, bool& max_stale) const {
+  const net::Topology& topo = live_->topology();
+  QUORA_ASSERT(label_[s] != kNoComponent,
+               "a site going down must have been up, hence labeled");
+  const auto root = static_cast<std::size_t>(find(label_[s]));
+  if (comp_votes_[root] == max_votes_) max_stale = true;
+  comp_votes_[root] -= topo.votes(s);
+  --comp_size_[root];
+  label_[s] = kNoComponent;
+  if (comp_size_[root] == 0) {
+    --root_count_;
+    return true;
+  }
+  for (const net::Topology::Edge& e : topo.neighbors(s)) {
+    const std::int32_t l = label_[e.neighbor];
+    if (l != kNoComponent && static_cast<std::size_t>(find(l)) == root) {
+      witnesses_.push_back(e.neighbor);
+      return true;
+    }
+  }
+  return false;  // members left, none adjacent: no witness to search from
+}
+
+void ComponentTracker::apply_link_down(net::LinkId l) const {
+  const net::Link& e = live_->topology().link(l);
+  const std::int32_t la = label_[e.a];
+  const std::int32_t lb = label_[e.b];
+  if (la == kNoComponent || lb == kNoComponent) return;
+  if (find(la) == find(lb)) witnesses_.push_back(e.a);
+}
+
+bool ComponentTracker::search_reaches(net::SiteId from,
+                                      std::uint32_t target) const {
+  // Early-exit frontier search over the final masked rows: each frontier
+  // site folds `row & unassigned` into the next frontier and the reached
+  // count in one pass, and the search stops the moment `target` sites
+  // are reached — on a dense component that is usually after one row.
+  const std::size_t words = live_->adjacency_row_words();
+  const std::span<const bits::Word> site_up = live_->site_up_words();
+  unassigned_words_.assign(site_up.begin(), site_up.end());
+  unassigned_words_[from / bits::kWordBits] &=
+      ~(bits::Word{1} << (from % bits::kWordBits));
+  std::uint32_t reached = 1;
+  bfs_stack_.clear();
+  bfs_stack_.push_back(from);
+  while (reached < target && !bfs_stack_.empty()) {
+    frontier_words_.assign(words, bits::Word{0});
+    for (const net::SiteId s : bfs_stack_) {
+      const bits::Word* row = live_->adjacency_row(s);
+      for (std::size_t i = 0; i < words; ++i) {
+        const bits::Word m = row[i] & unassigned_words_[i];
+        unassigned_words_[i] &= ~m;
+        frontier_words_[i] |= m;
+        reached += static_cast<std::uint32_t>(std::popcount(m));
+      }
+      if (reached >= target) break;
+    }
+    if (reached >= target) break;
+    bfs_stack_.clear();
+    for (std::size_t i = 0; i < words; ++i) {
+      for (bits::Word m = frontier_words_[i]; m != 0; m &= m - 1)
+        bfs_stack_.push_back(static_cast<net::SiteId>(
+            i * bits::kWordBits +
+            static_cast<std::uint32_t>(std::countr_zero(m))));
+    }
+  }
+  QUORA_INVARIANT(reached <= target,
+                  "a search crossed into another label: an operational link "
+                  "joins two components");
+  return reached == target;
+}
+
+bool ComponentTracker::witnessed_components_intact() const {
+  checked_roots_.clear();
+  for (const net::SiteId w : witnesses_) {
+    // A witness that went down later in the window left a successor
+    // witness for its component at that removal.
+    if (label_[w] == kNoComponent) continue;
+    const std::int32_t root = find(label_[w]);
+    if (std::find(checked_roots_.begin(), checked_roots_.end(), root) !=
+        checked_roots_.end())
+      continue;
+    if (!search_reaches(w, comp_size_[static_cast<std::size_t>(root)]))
+      return false;
+    checked_roots_.push_back(root);
+  }
+  return true;
+}
+
+void ComponentTracker::recompute_max_votes() const {
+  max_votes_ = 0;
+  for (std::size_t i = 0; i < parent_.size(); ++i)
+    if (parent_[i] == static_cast<std::int32_t>(i))
+      max_votes_ = std::max(max_votes_, comp_votes_[i]);
 }
 
 void ComponentTracker::set_metrics(obs::Registry* registry) {
@@ -106,11 +216,18 @@ void ComponentTracker::set_metrics(obs::Registry* registry) {
 
 void ComponentTracker::sync_slow() const {
   const std::uint64_t target = live_->version();
-  if (target - cached_version_ > live_->journal_capacity()) {
+  const std::uint64_t window = target - cached_version_;
+  if (window > live_->journal_capacity()) {
     // Fell behind the ring journal; the missed deltas are gone.
     rebuild();
     return;
   }
+  // Site recoveries append one label each; renumber in place first if
+  // this window could outgrow the reserved union-find slots.
+  if (parent_.size() + window > label_capacity_) renumber_labels();
+
+  witnesses_.clear();
+  bool max_stale = false;
   for (std::uint64_t v = cached_version_ + 1; v <= target; ++v) {
     const LiveNetwork::Delta d = live_->delta(v);
     switch (d.kind) {
@@ -120,18 +237,96 @@ void ComponentTracker::sync_slow() const {
       case LiveNetwork::DeltaKind::kLinkUp:
         apply_link_up(d.index);
         break;
-      default:
-        // Failures (and bulk resets) can split components; unions cannot
-        // express that, so recompute the labeling outright.
+      case LiveNetwork::DeltaKind::kSiteDown:
+        if (!dense_ || !apply_site_down(d.index, max_stale)) {
+          rebuild();
+          return;
+        }
+        break;
+      case LiveNetwork::DeltaKind::kLinkDown:
+        if (!dense_) {
+          rebuild();
+          return;
+        }
+        apply_link_down(d.index);
+        break;
+      case LiveNetwork::DeltaKind::kBulk:
+        // Deliberately not itemized; re-derive the labeling outright.
         rebuild();
         return;
     }
   }
+  // Checked once, against the final network: a per-delta check would
+  // judge early failures by links and sites that changed later on.
+  if (!witnessed_components_intact()) {
+    rebuild();
+    return;
+  }
+  if (max_stale) recompute_max_votes();
+  labels_dense_ = false;
+  members_valid_ = false;
   cached_version_ = target;
   ++stats_.incremental_applies;
+  if constexpr (contracts::kActive) check_against_scratch();
   QUORA_METRIC_ADD(obs_incremental_applies_, 1);
   QUORA_TRACE(trace_, obs::EventKind::kTrackerRebuild, 0, target, 0,
               /*full=*/0);
+}
+
+void ComponentTracker::check_against_scratch() const {
+  // Shadow recomputation for contract builds: an independent CSR BFS over
+  // the live flags must agree with the labels and totals a window left.
+  // It runs between refreshes, so it borrows the compaction and search
+  // scratch (reserved for n sites) and stays allocation-free, as
+  // `quora_bench --alloc-check` demands of sanitizer builds too. Each
+  // reference component is keyed by its lowest site, its BFS root.
+  const net::Topology& topo = live_->topology();
+  const std::uint32_t n = topo.site_count();
+  std::vector<std::int32_t>& rep = remap_;  // site -> its component's key
+  std::vector<net::Vote>& ref_votes = votes_scratch_;  // by key
+  std::vector<std::uint32_t>& ref_size = size_scratch_;  // by key
+  rep.assign(n, kNoComponent);
+  ref_votes.assign(n, 0);
+  ref_size.assign(n, 0);
+  std::uint32_t ref_count = 0;
+  net::Vote ref_max = 0;
+  for (net::SiteId root = 0; root < n; ++root) {
+    if (!live_->is_site_up(root) || rep[root] != kNoComponent) continue;
+    ++ref_count;
+    rep[root] = static_cast<std::int32_t>(root);
+    bfs_stack_.assign(1, root);
+    while (!bfs_stack_.empty()) {
+      const net::SiteId s = bfs_stack_.back();
+      bfs_stack_.pop_back();
+      ref_votes[root] += topo.votes(s);
+      ++ref_size[root];
+      for (const net::Topology::Edge& e : topo.neighbors(s)) {
+        if (!live_->is_link_up(e.link) || !live_->is_site_up(e.neighbor) ||
+            rep[e.neighbor] != kNoComponent)
+          continue;
+        rep[e.neighbor] = static_cast<std::int32_t>(root);
+        bfs_stack_.push_back(e.neighbor);
+      }
+    }
+    ref_max = std::max(ref_max, ref_votes[root]);
+  }
+  QUORA_INVARIANT(ref_count == root_count_,
+                  "absorbed window left a wrong component count");
+  QUORA_INVARIANT(ref_max == max_votes_,
+                  "absorbed window left a wrong max component vote total");
+  for (net::SiteId s = 0; s < n; ++s) {
+    QUORA_INVARIANT((rep[s] == kNoComponent) == (label_[s] == kNoComponent),
+                    "absorbed window mislabeled a site's liveness");
+    if (rep[s] == kNoComponent) continue;
+    [[maybe_unused]] const auto key = static_cast<std::size_t>(rep[s]);
+    [[maybe_unused]] const auto root =
+        static_cast<std::size_t>(find(label_[s]));
+    QUORA_INVARIANT(comp_votes_[root] == ref_votes[key] &&
+                        comp_size_[root] == ref_size[key],
+                    "absorbed window left wrong per-site votes or size");
+    QUORA_INVARIANT(root == static_cast<std::size_t>(find(label_[key])),
+                    "absorbed window split a component across labels");
+  }
 }
 
 void ComponentTracker::rebuild_dense() const {
@@ -253,6 +448,8 @@ void ComponentTracker::build_member_csr() const {
     if (l == kNoComponent) continue;
     member_storage_[cursor_scratch_[static_cast<std::size_t>(l)]++] = s;
   }
+  QUORA_INVARIANT(member_storage_.size() == live_->up_site_count(),
+                  "member lists must cover each up site exactly once");
 }
 
 void ComponentTracker::rebuild() const {
@@ -266,16 +463,7 @@ void ComponentTracker::rebuild() const {
   comp_size_.clear();
   max_votes_ = 0;
 
-  // Flavor by cost model, not just row availability: the dense pass reads
-  // ~n^2/64 words (every live site ORs its full row once, plus a frontier
-  // scan per BFS level), the CSR pass ~n + 2m edge probes. Dense wins on
-  // dense graphs (complete-101: one row AND tests 64 neighbors) and loses
-  // badly on deep narrow ones (ring-101: ~n/2 levels of whole-bitset
-  // work for 2 real neighbors each), so require m >= n^2/64.
-  const std::uint64_t n_sites = live_->topology().site_count();
-  const bool dense_pays =
-      64ull * live_->topology().link_count() >= n_sites * n_sites;
-  if (live_->has_dense_adjacency() && dense_pays)
+  if (dense_)
     rebuild_dense();
   else
     rebuild_sparse();
@@ -283,8 +471,8 @@ void ComponentTracker::rebuild() const {
   for (std::size_t i = 0; i < comp_votes_.size(); ++i)
     parent_.push_back(static_cast<std::int32_t>(i));
   root_count_ = static_cast<std::uint32_t>(comp_votes_.size());
-  build_member_csr();
-  compact_ = true;
+  labels_dense_ = true;
+  members_valid_ = false;  // built by the first structural query
   // Vote and membership conservation under partitioning: components are
   // disjoint, cover exactly the up sites, and their vote totals never
   // exceed the system total T — the property every quorum decision and
@@ -296,19 +484,23 @@ void ComponentTracker::rebuild() const {
     for (const net::Vote v : comp_votes_) partition_votes += v;
     QUORA_INVARIANT(up_sites == live_->up_site_count(),
                     "components must partition exactly the up sites");
-    QUORA_INVARIANT(member_storage_.size() == up_sites,
-                    "member lists must cover each up site exactly once");
     QUORA_INVARIANT(partition_votes <= topo.total_votes(),
                     "partition components hold more votes than the system");
   }
   cached_version_ = live_->version();
   QUORA_METRIC_ADD(obs_full_rebuilds_, 1);
   QUORA_TRACE(trace_, obs::EventKind::kTrackerRebuild, 0, cached_version_,
-              member_storage_.size(), /*full=*/1);
+              live_->up_site_count(), /*full=*/1);
 }
 
 void ComponentTracker::compact() const {
-  if (compact_) return;
+  if (members_valid_) return;
+  if (!labels_dense_) renumber_labels();
+  build_member_csr();
+  members_valid_ = true;
+}
+
+void ComponentTracker::renumber_labels() const {
   ++stats_.compactions;
   QUORA_METRIC_ADD(obs_compactions_, 1);
 
@@ -319,7 +511,8 @@ void ComponentTracker::compact() const {
 
   // Dense labels, numbered by each component's lowest site id; a full
   // rebuild produces exactly this numbering, so labels do not depend on
-  // which path (incremental or BFS) produced the partition.
+  // which path (incremental or BFS) produced the partition. Roots emptied
+  // by removals have no site left and drop out here.
   for (net::SiteId s = 0; s < n; ++s) {
     const std::int32_t l = label_[s];
     if (l == kNoComponent) continue;
@@ -337,16 +530,11 @@ void ComponentTracker::compact() const {
   parent_.resize(comp_count);
   for (std::size_t i = 0; i < comp_count; ++i)
     parent_[i] = static_cast<std::int32_t>(i);
+  labels_dense_ = true;
+  members_valid_ = false;
 
-  build_member_csr();
-  compact_ = true;
-
-  if constexpr (contracts::kActive) {
-    QUORA_INVARIANT(comp_count == root_count_,
-                    "compaction must preserve the component count");
-    QUORA_INVARIANT(member_storage_.size() == live_->up_site_count(),
-                    "member lists must cover each up site exactly once");
-  }
+  QUORA_INVARIANT(comp_count == root_count_,
+                  "compaction must preserve the component count");
 }
 
 std::int32_t ComponentTracker::component_of(net::SiteId s) const {

@@ -21,47 +21,63 @@ inline constexpr std::int32_t kNoComponent = -1;
 /// sites and operational links, with per-component vote and size totals.
 ///
 /// Maintenance is lazy and incremental. A query that observes the network
-/// version moved replays the `LiveNetwork` delta journal:
+/// version moved replays the `LiveNetwork` delta journal as one *window*:
 ///
 ///  - site/link **recovery** deltas only ever merge components, so they
 ///    are absorbed in place by a union-find over the component labels —
 ///    no graph traversal, no allocation;
-///  - the first **failure** (or bulk) delta aborts the replay and triggers
-///    one full rebuild into scratch buffers reused across rebuilds.
+///  - on the dense path (see below) **failure** deltas are absorbed too. A
+///    site-down removes the site from its component (votes and size come
+///    off the union-find root) and records a *witness*: a remaining member
+///    of that component, found among the site's neighbors. A link-down
+///    inside one component records an endpoint as witness; a link-down
+///    between components changes nothing.
 ///
-/// Under the paper's symmetric fail/repair model half of all network
-/// events are recoveries, so this halves the rebuild count of the
-/// version-dirty scheme it replaces, and steady-state refreshes perform
-/// zero heap allocations.
+/// Removals never merge, and every operational link of the final network
+/// lies inside one label, so a label is still a single component exactly
+/// when a search from its witness over the *final* network reaches all of
+/// its members. After the whole window is replayed, one early-exit,
+/// word-parallel search per witnessed component checks that; it stops as
+/// soon as the reached count equals the component size. Rich topologies
+/// almost never split (paper §5.3), so nearly every failure window
+/// finishes with a search that touches one or two rows. A split found by
+/// the check, a removal with no witness among its neighbors, a `kBulk`
+/// delta, a journal overflow, or any failure on the CSR path (below)
+/// falls back to one full rebuild into scratch buffers reused across
+/// rebuilds, and steady-state refreshes perform zero heap allocations.
 ///
-/// The rebuild itself comes in two flavors, selected by the network:
+/// The rebuild itself comes in two flavors, selected once per tracker by
+/// a cost model over the network (see the constructor):
 ///
-///  - **dense** (site count within `LiveNetwork::kDenseAdjacencyMaxSites`):
-///    a word-parallel frontier scan over the network's masked adjacency
-///    rows. Each frontier site contributes one `next |= row & unassigned`
-///    pass over packed 64-bit words — 64 neighbor-liveness tests per AND —
-///    and component sizes are tallied by popcount over the harvested
-///    words (votes collapse to popcount * v under a uniform assignment).
-///    The word kernels are runtime-dispatched (AVX2 when available,
-///    overridable via QUORA_SIMD=scalar) and bit-identical across
-///    variants, so labels never depend on the dispatch decision.
-///  - **sparse** (larger topologies): the original O(V+E) BFS over the
-///    topology's CSR adjacency.
+///  - **dense** (site count within `LiveNetwork::kDenseAdjacencyMaxSites`
+///    and m >= n^2/64): a word-parallel frontier scan over the network's
+///    masked adjacency rows. Each frontier site contributes one
+///    `next |= row & unassigned` pass over packed 64-bit words — 64
+///    neighbor-liveness tests per AND — and component sizes are tallied by
+///    popcount over the harvested words (votes collapse to popcount * v
+///    under a uniform assignment). The word kernels are runtime-dispatched
+///    (AVX2 when available, overridable via QUORA_SIMD=scalar) and
+///    bit-identical across variants, so labels never depend on the
+///    dispatch decision.
+///  - **sparse** (everything else): the original O(V+E) BFS over the
+///    topology's CSR adjacency. Every failure on this path rebuilds at
+///    once, as the witness check needs the dense rows.
 ///
 /// Both flavors produce identical labelings: components numbered by
 /// lowest member site in ascending order, member lists ascending by site
 /// id — the same canonical form `compact()` emits after incremental
-/// merges, so member order no longer depends on which path produced the
+/// windows, so member order does not depend on which path produced the
 /// partition.
 ///
-/// Labels are compacted (dense, 0..component_count-1, numbered by lowest
-/// member site) on demand: the cheap scalar queries (`component_votes`,
-/// `component_size`, `connected`, `max_component_votes`,
-/// `component_count`) never force a compaction, while the structural ones
-/// (`component_of`, `members`, `votes_by_label`) do, so a label returned
-/// by `component_of` always indexes `members`/`votes_by_label`
-/// consistently. Spans returned by `members`/`votes_by_label`/
-/// `member_words` are invalidated by the next refresh, as before.
+/// The cheap scalar queries (`component_votes`, `component_size`,
+/// `connected`, `max_component_votes`, `component_count`) read only labels
+/// and root totals. The structural ones (`component_of`, `members`,
+/// `member_words`, `votes_by_label`) first compact the labels (dense,
+/// 0..component_count-1, numbered by lowest member site) and build the
+/// member lists, both lazily, so a label returned by `component_of`
+/// always indexes `members`/`votes_by_label` consistently. Spans returned
+/// by `members`/`votes_by_label`/`member_words` are invalidated by the
+/// next refresh.
 class ComponentTracker {
 public:
   explicit ComponentTracker(const LiveNetwork& live);
@@ -109,9 +125,9 @@ public:
   /// how often the labeling was recomputed from scratch versus absorbed
   /// incrementally.
   struct Stats {
-    std::uint64_t full_rebuilds = 0;        // O(V+E) BFS sweeps
-    std::uint64_t incremental_applies = 0;  // delta batches merged in-place
-    std::uint64_t compactions = 0;          // label renumber + member rebuild
+    std::uint64_t full_rebuilds = 0;        // whole-network relabelings
+    std::uint64_t incremental_applies = 0;  // delta windows absorbed in place
+    std::uint64_t compactions = 0;          // label renumberings
   };
   const Stats& stats() const noexcept { return stats_; }
 
@@ -144,16 +160,31 @@ private:
   QUORA_ALLOC_OK void rebuild_dense() const;
   QUORA_ALLOC_OK void rebuild_sparse() const;
   QUORA_ALLOC_OK void build_member_csr() const;
-  QUORA_ALLOC_OK void compact() const;
+  void compact() const;
+  QUORA_ALLOC_OK void renumber_labels() const;
   QUORA_ALLOC_OK void apply_site_up(net::SiteId s) const;
   void apply_link_up(net::LinkId l) const;
+  QUORA_ALLOC_OK bool apply_site_down(net::SiteId s, bool& max_stale) const;
+  QUORA_ALLOC_OK void apply_link_down(net::LinkId l) const;
+  QUORA_ALLOC_OK bool witnessed_components_intact() const;
+  QUORA_ALLOC_OK bool search_reaches(net::SiteId from,
+                                     std::uint32_t target) const;
+  void recompute_max_votes() const;
+  // Contracts-only shadow recomputation (never called in Release).
+  QUORA_ALLOC_OK void check_against_scratch() const;
   std::int32_t find(std::int32_t label) const;
   void unite(std::int32_t a, std::int32_t b) const;
 
   const LiveNetwork* live_;
+  // Failures are absorbed only where the witness check can read dense
+  // rows; fixed at construction, like the rebuild flavor it mirrors.
+  bool dense_;
+  // Union-find slots the constructor reserved: sites + journal capacity.
+  std::size_t label_capacity_;
   // Everything below is cache, maintained by sync()/rebuild()/compact().
   mutable std::uint64_t cached_version_;
-  mutable bool compact_ = false;  // labels dense + member CSR valid
+  mutable bool labels_dense_ = false;   // labels 0..count-1, canonical order
+  mutable bool members_valid_ = false;  // member CSR matches the labels
   mutable std::vector<std::int32_t> label_;
   mutable std::vector<std::int32_t> parent_;     // union-find over labels
   mutable std::vector<net::Vote> comp_votes_;    // valid at union-find roots
@@ -162,14 +193,25 @@ private:
   mutable net::Vote max_votes_ = 0;
   mutable std::vector<net::SiteId> member_storage_;  // grouped by component
   mutable std::vector<std::size_t> member_offsets_;  // CSR over member_storage_
-  mutable std::vector<net::SiteId> bfs_stack_;
-  mutable std::vector<bits::Word> unassigned_words_;   // dense-rebuild scratch
-  mutable std::vector<bits::Word> frontier_words_;     // dense-rebuild scratch
-  mutable std::vector<bits::Word> member_words_scratch_;
-  mutable std::vector<std::int32_t> remap_;          // compaction scratch
-  mutable std::vector<net::Vote> votes_scratch_;
-  mutable std::vector<std::uint32_t> size_scratch_;
-  mutable std::vector<std::size_t> cursor_scratch_;
+  // Reusable buffers of the refresh paths, not state: a copy of the
+  // tracker (a model-checker snapshot) starts them empty instead of
+  // duplicating their contents.
+  template <typename T>
+  struct Scratch : std::vector<T> {
+    Scratch() = default;
+    Scratch(const Scratch&) noexcept : std::vector<T>() {}
+    Scratch& operator=(const Scratch&) noexcept { return *this; }
+  };
+  mutable Scratch<net::SiteId> bfs_stack_;
+  mutable Scratch<net::SiteId> witnesses_;  // one window's witnesses
+  mutable Scratch<std::int32_t> checked_roots_;
+  mutable Scratch<bits::Word> unassigned_words_;
+  mutable Scratch<bits::Word> frontier_words_;
+  mutable Scratch<bits::Word> member_words_scratch_;
+  mutable Scratch<std::int32_t> remap_;
+  mutable Scratch<net::Vote> votes_scratch_;
+  mutable Scratch<std::uint32_t> size_scratch_;
+  mutable Scratch<std::size_t> cursor_scratch_;
   mutable Stats stats_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::Counter obs_full_rebuilds_;

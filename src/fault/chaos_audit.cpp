@@ -22,6 +22,9 @@ public:
     std::optional<ChaosSpec> spec;
     try {
       spec = load_chaos(in);
+    } catch (const PlanExpansionError& e) {
+      error(AuditCode::kChaosExpansionLimit, e.what());
+      return std::move(report_);
     } catch (const std::exception& e) {
       error(AuditCode::kParseError, e.what());
       return std::move(report_);

@@ -1,5 +1,6 @@
 #include "fault/fault_plan.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -257,7 +258,11 @@ void parse_flap(FaultPlan& plan, std::istringstream& cells, std::size_t line) {
   reject_trailing(cells, line);
   if (!(period > 0.0)) fail(line, "flap period must be positive");
   if (!(until > from)) fail(line, "flap window must end after it starts");
-  plan.flap_link(l, from, until, period);
+  try {
+    plan.flap_link(l, from, until, period);
+  } catch (const std::logic_error& e) {  // non-finite or over-cap train
+    throw PlanExpansionError(line, e.what());
+  }
 }
 
 } // namespace
@@ -330,8 +335,21 @@ FaultPlan& FaultPlan::heal_links(double t) {
 
 FaultPlan& FaultPlan::flap_link(net::LinkId l, double from, double until,
                                 double period) {
+  if (!std::isfinite(from) || !std::isfinite(until) || !std::isfinite(period))
+    throw std::invalid_argument("flap bounds and period must be finite");
+  // Counted, not just time-bounded: once `t + period == t` the clock stops
+  // and only the cap ends the loop.
+  const std::size_t first = actions_.size();
+  std::size_t toggles = 0;
   bool down = true;
   for (double t = from; t < until; t += period) {
+    if (++toggles > kMaxFlapToggles) {
+      actions_.resize(first);
+      throw std::length_error("flap expands to more than " +
+                              std::to_string(kMaxFlapToggles) +
+                              " toggles; shorten the window or lengthen "
+                              "the period");
+    }
     down ? link_down(t, l) : link_up(t, l);
     down = !down;
   }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -116,8 +117,14 @@ public:
   FaultPlan& heal(double t);
   FaultPlan& heal_links(double t);
   /// Toggle a link down/up every `period` from `from` until `until`;
-  /// guarantees the link ends up in the `up` state at `until`.
+  /// guarantees the link ends up in the `up` state at `until`. The train
+  /// is expanded eagerly, so its length is capped: throws
+  /// std::invalid_argument on a non-finite bound or period, and
+  /// std::length_error (leaving the plan unchanged) once the expansion
+  /// would exceed kMaxFlapToggles — including a period too small to
+  /// advance the clock at all.
   FaultPlan& flap_link(net::LinkId l, double from, double until, double period);
+  static constexpr std::size_t kMaxFlapToggles = 1u << 16;
   FaultPlan& reassign(double t, net::SiteId origin, quorum::QuorumSpec next);
   /// Arm a one-shot trigger: the next coordinator matching `site` (or any,
   /// with kAnySite) that floods a commit crashes immediately afterwards —
@@ -245,7 +252,16 @@ struct ChaosSpec {
   FaultPlan plan;
 };
 
-/// Parses a `.chaos` scenario; throws `io::ParseError` on malformed input.
+/// A directive that parses but would expand into an unbounded (or
+/// non-finite) timeline — a `flap` train past `FaultPlan::kMaxFlapToggles`.
+/// Reported by `audit_chaos` as `chaos-expansion-limit`.
+class PlanExpansionError : public io::ParseError {
+public:
+  using io::ParseError::ParseError;
+};
+
+/// Parses a `.chaos` scenario; throws `io::ParseError` on malformed input
+/// (`PlanExpansionError` for directives whose expansion is unbounded).
 /// Range validation against the topology (site/link ids, probabilities,
 /// schedule sanity) is the job of `audit_chaos`, not the parser.
 ChaosSpec load_chaos(std::istream& in);

@@ -488,6 +488,7 @@ const char* audit_code_name(AuditCode code) {
     case AuditCode::kCoterieMinimality: return "coterie-minimality";
     case AuditCode::kChaosBadSchedule: return "chaos-bad-schedule";
     case AuditCode::kChaosUnknownTarget: return "chaos-unknown-target";
+    case AuditCode::kChaosExpansionLimit: return "chaos-expansion-limit";
     case AuditCode::kDomainConfig: return "domain-config";
     case AuditCode::kAdaptConfig: return "adapt-config";
     case AuditCode::kModelScopeConfig: return "model-scope-config";
@@ -635,6 +636,7 @@ std::vector<SarifRule> audit_sarif_rules() {
       AuditCode::kCoterieMinimality,
       AuditCode::kChaosBadSchedule,
       AuditCode::kChaosUnknownTarget,
+      AuditCode::kChaosExpansionLimit,
       AuditCode::kDomainConfig,
       AuditCode::kAdaptConfig,
       AuditCode::kModelScopeConfig,

@@ -30,6 +30,8 @@ enum class AuditCode {
   kChaosBadSchedule,      // .chaos plan: inverted window, bad probability,
                           // missing horizon, overlapping partition groups
   kChaosUnknownTarget,    // .chaos plan names a site/link the topology lacks
+  kChaosExpansionLimit,   // .chaos directive expands to an unbounded or
+                          // non-finite timeline (flap train over the cap)
   kDomainConfig,          // failure-domain problems: duplicate/overlapping
                           // domain definitions, or a chaos directive naming
                           // a domain no site belongs to

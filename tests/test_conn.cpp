@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
@@ -641,6 +642,191 @@ TEST(ComponentTracker, MembersAscendAfterRebuildAndMerge) {
   check_ascending();
   live.set_site_up(4, true);  // recovery -> incremental merge + compaction
   check_ascending();
+}
+
+// ---------------------------------------------------------------------------
+// Decremental windows: failures absorbed in place on the dense path.
+
+/// The same graph with votes 1..3 by site id, so vote totals (and the
+/// max component) differ from sizes.
+net::Topology reweighted(const net::Topology& base) {
+  std::vector<net::Vote> votes(base.site_count());
+  for (net::SiteId s = 0; s < base.site_count(); ++s) votes[s] = 1 + s % 3;
+  return net::Topology(base.name() + "-weighted", base.site_count(),
+                       {base.links().begin(), base.links().end()},
+                       std::move(votes));
+}
+
+/// Two cliques of `a` and `b` sites joined by the single bridge
+/// {a-1, a}: dense enough for the word-parallel path, and one link-down
+/// away from a split.
+net::Topology barbell(std::uint32_t a, std::uint32_t b) {
+  std::vector<net::Link> links;
+  for (net::SiteId i = 0; i < a; ++i)
+    for (net::SiteId j = i + 1; j < a; ++j) links.push_back({i, j});
+  for (net::SiteId i = a; i < a + b; ++i)
+    for (net::SiteId j = i + 1; j < a + b; ++j) links.push_back({i, j});
+  links.push_back({a - 1, a});
+  return net::Topology("barbell", a + b, std::move(links));
+}
+
+/// Every scalar query of `tracker` against a tracker freshly built on the
+/// same network; with `structural`, also labels and member lists (both
+/// must come out in the canonical numbering and order).
+void expect_matches_fresh(const ComponentTracker& tracker,
+                          const LiveNetwork& live, bool structural) {
+  const ComponentTracker fresh(live);
+  const std::uint32_t n = live.topology().site_count();
+  ASSERT_EQ(tracker.component_count(), fresh.component_count());
+  ASSERT_EQ(tracker.max_component_votes(), fresh.max_component_votes());
+  for (net::SiteId s = 0; s < n; ++s) {
+    ASSERT_EQ(tracker.component_votes(s), fresh.component_votes(s)) << s;
+    ASSERT_EQ(tracker.component_size(s), fresh.component_size(s)) << s;
+    for (const net::SiteId t : {(s + 1) % n, (s * 7 + 3) % n})
+      ASSERT_EQ(tracker.connected(s, t), fresh.connected(s, t))
+          << s << "-" << t;
+  }
+  if (!structural) return;
+  for (net::SiteId s = 0; s < n; ++s)
+    ASSERT_EQ(tracker.component_of(s), fresh.component_of(s)) << s;
+  for (std::uint32_t c = 0; c < fresh.component_count(); ++c) {
+    const auto mine = tracker.members(static_cast<std::int32_t>(c));
+    const auto want = fresh.members(static_cast<std::int32_t>(c));
+    ASSERT_TRUE(std::equal(mine.begin(), mine.end(), want.begin(), want.end()))
+        << "members of component " << c;
+  }
+}
+
+TEST(ComponentTracker, DecrementalWindowsMatchAFreshTracker) {
+  struct Case {
+    net::Topology topo;
+    bool dense_path;
+  };
+  const Case cases[] = {
+      {reweighted(net::make_fully_connected(12)), true},
+      {net::make_ring_with_chords(20, 40), true},
+      {reweighted(net::make_ring_with_chords(101, 256)), true},
+      {net::make_fully_connected(101), true},
+      {net::make_ring_with_chords(101, 4), false},  // m < n^2/64: CSR path
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.topo.name());
+    const net::Topology& topo = c.topo;
+    // A 16-slot journal holds every burst, and keeps the reserved label
+    // headroom small enough that the in-place renumbering runs too.
+    LiveNetwork live(topo, 16);
+    const ComponentTracker tracker(live);
+    rng::Xoshiro256ss gen(0xdecade ^ topo.site_count());
+    std::uint64_t failure_windows = 0;
+    for (int burst = 0; burst < 600; ++burst) {
+      // 1-8 flips per window, so one replay mixes failures, recoveries and
+      // flips of the same element.
+      const std::uint64_t flips = 1 + rng::uniform_index(gen, 8);
+      bool failed = false;
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        if (rng::bernoulli(gen, 0.4)) {
+          const auto s = static_cast<net::SiteId>(
+              rng::uniform_index(gen, topo.site_count()));
+          failed |= live.is_site_up(s);
+          live.set_site_up(s, !live.is_site_up(s));
+        } else {
+          const auto l = static_cast<net::LinkId>(
+              rng::uniform_index(gen, topo.link_count()));
+          failed |= live.is_link_up(l);
+          live.set_link_up(l, !live.is_link_up(l));
+        }
+      }
+      failure_windows += failed ? 1 : 0;
+      ASSERT_NO_FATAL_FAILURE(
+          expect_matches_fresh(tracker, live, /*structural=*/burst % 8 == 7))
+          << "burst " << burst;
+    }
+    // The fast path must actually carry the dense cases; the CSR path
+    // rebuilds on every window with a failure in it.
+    if (c.dense_path) {
+      EXPECT_LT(tracker.stats().full_rebuilds, failure_windows / 2);
+    } else {
+      EXPECT_GE(tracker.stats().full_rebuilds, failure_windows);
+    }
+  }
+}
+
+TEST(ComponentTracker, NonSplittingFailuresOnACliqueAbsorbWithoutRebuild) {
+  const net::Topology topo = net::make_fully_connected(20);
+  LiveNetwork live(topo);
+  const ComponentTracker tracker(live);
+  const auto base = tracker.stats();
+
+  live.set_site_up(5, false);
+  EXPECT_EQ(tracker.component_count(), 1u);
+  EXPECT_EQ(tracker.component_votes(0), 19u);
+  EXPECT_EQ(tracker.component_size(19), 19u);
+  EXPECT_EQ(tracker.component_votes(5), 0u);
+  EXPECT_EQ(tracker.max_component_votes(), 19u);
+
+  live.set_link_up(topo.find_link(0, 1), false);
+  EXPECT_TRUE(tracker.connected(0, 1));
+  EXPECT_EQ(tracker.stats().full_rebuilds, base.full_rebuilds);
+  EXPECT_EQ(tracker.stats().incremental_applies, base.incremental_applies + 2);
+}
+
+TEST(ComponentTracker, BridgeLinkDownCostsExactlyOneRebuild) {
+  const net::Topology topo = barbell(8, 6);
+  LiveNetwork live(topo);
+  const ComponentTracker tracker(live);
+  const auto base = tracker.stats();
+
+  live.set_link_up(topo.find_link(0, 1), false);  // inside a clique
+  EXPECT_EQ(tracker.component_count(), 1u);
+  EXPECT_EQ(tracker.stats().full_rebuilds, base.full_rebuilds);
+
+  live.set_link_up(topo.find_link(7, 8), false);  // the bridge
+  EXPECT_EQ(tracker.component_count(), 2u);
+  EXPECT_FALSE(tracker.connected(0, 13));
+  EXPECT_EQ(tracker.component_votes(0), 8u);
+  EXPECT_EQ(tracker.component_votes(13), 6u);
+  EXPECT_EQ(tracker.stats().full_rebuilds, base.full_rebuilds + 1);
+}
+
+TEST(ComponentTracker, RemovalFromTheMaxComponentLowersMaxVotes) {
+  const net::Topology topo = barbell(8, 6);
+  LiveNetwork live(topo);
+  const ComponentTracker tracker(live);
+  live.set_link_up(topo.find_link(7, 8), false);
+  ASSERT_EQ(tracker.max_component_votes(), 8u);
+  const auto split = tracker.stats();
+
+  live.set_site_up(2, false);  // the 8-clique keeps its lead at 7
+  EXPECT_EQ(tracker.max_component_votes(), 7u);
+  live.set_site_up(3, false);
+  live.set_site_up(4, false);  // 5 < 6: the other clique takes over
+  EXPECT_EQ(tracker.max_component_votes(), 6u);
+  EXPECT_EQ(tracker.component_count(), 2u);
+  EXPECT_EQ(tracker.stats().full_rebuilds, split.full_rebuilds);
+}
+
+TEST(ComponentTracker, SiteCyclesNeverGrowTheLabelArrays) {
+  // Every recovery appends a union-find label; the window replay must
+  // renumber in place before the reserved capacity runs out. The vote
+  // buffer is reserved alongside the labels, so its address only holds
+  // if neither array ever reallocates.
+  const net::Topology topo = net::make_fully_connected(30);
+  LiveNetwork live(topo);
+  const ComponentTracker tracker(live);
+  const net::Vote* votes_buffer = tracker.votes_by_label().data();
+  const auto base = tracker.stats();
+
+  for (int cycle = 0; cycle < 600; ++cycle) {
+    const auto s = static_cast<net::SiteId>(cycle % 30);
+    live.set_site_up(s, false);
+    ASSERT_EQ(tracker.component_votes((s + 1) % 30), 29u);
+    live.set_site_up(s, true);
+    ASSERT_EQ(tracker.max_component_votes(), 30u);
+  }
+  EXPECT_EQ(tracker.stats().full_rebuilds, base.full_rebuilds);
+  EXPECT_GT(tracker.stats().compactions, base.compactions);
+  EXPECT_EQ(tracker.votes_by_label().data(), votes_buffer);
+  EXPECT_EQ(tracker.votes_by_label().size(), 1u);
 }
 
 } // namespace

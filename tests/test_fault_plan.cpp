@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -96,6 +97,40 @@ TEST(ChaosParser, FlapAlwaysHandsTheLinkBack) {
   EXPECT_EQ(actions.size(), 5u);
   EXPECT_EQ(actions.back().kind, Action::Kind::kLinkUp);
   EXPECT_DOUBLE_EQ(actions.back().time, 10.0);
+}
+
+TEST(ChaosParser, RejectsUnboundedFlapExpansion) {
+  // None of these trains can be expanded: ~1e307 toggles, a period too
+  // small to move the clock past `from` at all, and one just over the cap.
+  const char* bad[] = {
+      "flap link 1 from 50 until 1e308 period 9\n",
+      // 2 ulps wide, so only 32768 periods long, but 1 + 1e20 == 1e20.
+      "flap link 1 from 100000000000000000000 until 100000000000000032768 "
+      "period 1\n",
+      "flap link 1 from 0 until 70000 period 1\n",
+  };
+  for (const char* text : bad) {
+    std::istringstream in(std::string("sites 5\nring\n") + text);
+    EXPECT_THROW(load_chaos(in), PlanExpansionError) << text;
+  }
+  // At the cap exactly the train still expands: toggles plus the final up.
+  std::istringstream at_cap("sites 5\nring\nflap link 1 from 0 until 65536 "
+                            "period 1\n");
+  EXPECT_EQ(load_chaos(at_cap).plan.actions().size(),
+            FaultPlan::kMaxFlapToggles + 1);
+}
+
+TEST(FaultPlanBuilder, FlapRejectsNonFiniteAndOverCapTrains) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  FaultPlan plan;
+  plan.link_down(1.0, 0);
+  EXPECT_THROW(plan.flap_link(0, 0.0, inf, 1.0), std::invalid_argument);
+  EXPECT_THROW(plan.flap_link(0, -inf, 10.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(plan.flap_link(0, 0.0, 10.0, nan), std::invalid_argument);
+  EXPECT_THROW(plan.flap_link(0, 0.0, 1e9, 1.0), std::length_error);
+  // A rejected train leaves no partial expansion behind.
+  EXPECT_EQ(plan.actions().size(), 1u);
 }
 
 TEST(ChaosParser, RejectsMalformedLinesWithLineNumbers) {
@@ -324,6 +359,15 @@ TEST(ChaosAudit, ReusesQuorumCodesForAssignments) {
     const io::AuditReport report = audit_chaos(in);
     EXPECT_FALSE(report.ok());
   }
+}
+
+TEST(ChaosAudit, UnboundedFlapHasItsOwnCode) {
+  std::istringstream in("horizon 240\nsites 25\nring\nchords 4\nquorum 10 16\n"
+                        "flap link 7 from 50 until 1e308 period 9\n");
+  const io::AuditReport report = audit_chaos(in);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.has(io::AuditCode::kChaosExpansionLimit));
+  EXPECT_FALSE(report.has(io::AuditCode::kParseError));
 }
 
 TEST(ChaosAudit, ParseFailureIsAFinding) {

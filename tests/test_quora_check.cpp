@@ -210,6 +210,7 @@ TEST(QuoraCheck, AuditCodeNamesAreUniqueSlugs) {
       AuditCode::kCoterieMinimality,    AuditCode::kChaosBadSchedule,
       AuditCode::kChaosUnknownTarget,   AuditCode::kDomainConfig,
       AuditCode::kAdaptConfig,          AuditCode::kModelScopeConfig,
+      AuditCode::kChaosExpansionLimit,
   };
   std::set<std::string> names;
   for (const AuditCode code : all) names.insert(audit_code_name(code));

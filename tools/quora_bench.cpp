@@ -161,9 +161,12 @@ CaseResult bench_event_queue(const Options& opt) {
   });
 }
 
-// Item counts are sized per topology by measured per-op cost (roughly
-// half the flips trigger a full rebuild) so every case finishes in well
-// under ~15 s of full-mode wall clock; see the call sites.
+// Item counts are sized per topology by measured per-op cost so every
+// case finishes in well under ~15 s of full-mode wall clock; see the call
+// sites. On the CSR-path topologies (ring, grid, geo) every link-down,
+// about half the flips, costs a full rebuild; on the dense ones a flip
+// rebuilds only when it splits a component, which a link-down in a
+// 101-clique essentially never does.
 CaseResult bench_tracker(const Options& opt, const std::string& name,
                          const net::Topology& topo, std::uint64_t items_full,
                          std::uint64_t items_quick) {
@@ -387,6 +390,32 @@ int run_alloc_check(const Options& opt) {
         allocs_during([&] { churn(opt.quick ? 5'000 : 50'000); });
     if (sink == 0xffffffff) std::abort();
     checks.push_back({"tracker_dense_rebuild_steady_state", n});
+  }
+
+  {
+    // Dense decremental path under site churn with scalar queries only:
+    // every recovery appends a union-find label and nothing structural
+    // compacts them, so the window replay's in-place renumbering is what
+    // keeps the label arrays inside the ctor-reserved capacity.
+    const auto topo = net::make_fully_connected(101);
+    conn::LiveNetwork live(topo);
+    conn::ComponentTracker tracker(live);
+    rng::Xoshiro256ss gen(opt.seed ^ 17);
+    net::Vote sink = 0;
+    const auto churn = [&](std::uint64_t iters) {
+      for (std::uint64_t i = 0; i < iters; ++i) {
+        const auto s =
+            static_cast<net::SiteId>(rng::uniform_index(gen, topo.site_count()));
+        live.set_site_up(s, !live.is_site_up(s));
+        sink += tracker.component_votes(0);
+        sink += tracker.max_component_votes();
+      }
+    };
+    churn(1024);  // warm-up
+    const std::uint64_t n =
+        allocs_during([&] { churn(opt.quick ? 50'000 : 500'000); });
+    if (sink == 0xffffffff) std::abort();
+    checks.push_back({"tracker_dense_site_churn_steady_state", n});
   }
 
   {
