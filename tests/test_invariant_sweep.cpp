@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <string>
 
 #include "conn/component_tracker.hpp"
@@ -23,6 +24,10 @@ struct TopologyCase {
   std::string label;
   std::function<net::Topology()> make;
 };
+
+// Without a printer GoogleTest dumps the raw object bytes, heap pointers
+// included, and ctest's discovered test names then change with every run.
+void PrintTo(const TopologyCase& c, std::ostream* os) { *os << c.label; }
 
 class InvariantSweep : public ::testing::TestWithParam<TopologyCase> {};
 
