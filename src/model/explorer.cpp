@@ -1,6 +1,8 @@
 #include "model/explorer.hpp"
 
 #include <algorithm>
+#include <array>
+#include <stdexcept>
 #include <utility>
 
 #include "core/contracts.hpp"
@@ -59,15 +61,6 @@ std::string action_brief(const fault::Action& a) {
   }
 }
 
-std::uint64_t mix64(std::uint64_t h, std::uint64_t w) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  for (int b = 0; b < 8; ++b) {
-    h ^= (w >> (8 * b)) & 0xFFull;
-    h *= kPrime;
-  }
-  return h;
-}
-
 /// True when the recorded descriptor names this enabled event.
 bool same_descriptor(const Choice& c, const Cluster::ModelEvent& e) {
   if (c.event_kind != e.kind || c.target != e.target || c.link != e.index ||
@@ -85,26 +78,26 @@ bool same_descriptor(const Choice& c, const Cluster::ModelEvent& e) {
 }
 
 std::uint64_t descriptor_key(const Choice& c) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = mix64(h, static_cast<std::uint64_t>(c.kind));
-  h = mix64(h, c.index);
-  h = mix64(h, static_cast<std::uint64_t>(c.event_kind));
-  h = mix64(h, c.target);
-  h = mix64(h, c.link);
-  h = mix64(h, c.request);
-  h = mix64(h, static_cast<std::uint64_t>(c.phase));
-  h = mix64(h, c.occurrence);
-  if (c.event_kind == Cluster::ModelEventKind::kDelivery) {
-    const msg::Message& m = c.message;
-    h = mix64(h, static_cast<std::uint64_t>(m.kind));
-    h = mix64(h, m.is_write ? 1 : 0);
-    h = mix64(h, m.request);
-    h = mix64(h, m.sender);
-    h = mix64(h, m.replier);
-    h = mix64(h, m.version);
-    h = mix64(h, m.qr_version);
-  }
-  return h;
+  const msg::Message& m = c.message;
+  const std::array<std::uint64_t, 15> words = {
+      static_cast<std::uint64_t>(c.kind),
+      c.index,
+      static_cast<std::uint64_t>(c.event_kind),
+      c.target,
+      c.link,
+      c.request,
+      static_cast<std::uint64_t>(c.phase),
+      c.occurrence,
+      // Deliveries only:
+      static_cast<std::uint64_t>(m.kind),
+      m.is_write ? 1u : 0u,
+      m.request,
+      m.sender,
+      m.replier,
+      m.version,
+      m.qr_version};
+  const bool delivery = c.event_kind == Cluster::ModelEventKind::kDelivery;
+  return Cluster::model_hash(std::span(words).first(delivery ? 15 : 8))[0];
 }
 
 } // namespace
@@ -151,20 +144,6 @@ std::vector<std::string> Violation::codes() const {
   return out;
 }
 
-struct Explorer::Transition {
-  Choice choice;
-  std::uint64_t seq = 0;    // kEvent: live handle in the current state
-  std::uint64_t key = 0;    // sleep-set / covering identity (content hash)
-  net::SiteId site = 0;     // dependence site for kEvent
-  bool global = false;      // kSubmit / kFault: dependent with everything
-};
-
-struct Explorer::SleepEntry {
-  std::uint64_t key = 0;
-  net::SiteId site = 0;
-  bool global = false;
-};
-
 Explorer::Explorer(const Scope& scope, Options opt)
     : scope_(&scope), opt_(opt) {
   QUORA_PRECONDITION(scope.chaos.system.has_value(),
@@ -185,14 +164,15 @@ msg::Cluster Explorer::make_cluster() const {
   return Cluster(topo, params, /*seed=*/1);
 }
 
-std::vector<Explorer::Transition> Explorer::enabled_transitions(
-    const msg::Cluster& c, std::uint32_t submitted,
-    std::uint32_t faulted) const {
+void Explorer::enabled_transitions(const msg::Cluster& c,
+                                   std::uint32_t submitted,
+                                   std::uint32_t faulted,
+                                   std::vector<Transition>& out) const {
   // Submits and faults lead the list: DFS then tries the schedules that
   // interleave them early in the protocol first, which is where seeded
   // mutations bite — pure delivery permutations come after. Exhaustive
   // coverage does not depend on this order, only time-to-counterexample.
-  std::vector<Transition> out;
+  out.clear();
   for (std::uint32_t i = 0; i < scope_->accesses.size(); ++i) {
     if ((submitted >> i) & 1u) continue;
     Transition t;
@@ -232,7 +212,6 @@ std::vector<Explorer::Transition> Explorer::enabled_transitions(
     t.key = descriptor_key(t.choice);
     out.push_back(std::move(t));
   }
-  return out;
 }
 
 void Explorer::apply(msg::Cluster& c, const Transition& t,
@@ -260,24 +239,23 @@ void Explorer::apply(msg::Cluster& c, const Transition& t,
   }
 }
 
-std::vector<std::uint64_t> Explorer::stored_qr_versions(
-    const msg::Cluster& c) const {
+void Explorer::stored_qr_versions(const msg::Cluster& c,
+                                  std::vector<std::uint64_t>& out) const {
   const net::Topology& topo = scope_->chaos.system->topology;
-  std::vector<std::uint64_t> out(topo.site_count());
+  out.resize(topo.site_count());
   for (net::SiteId s = 0; s < topo.site_count(); ++s) {
     out[s] = c.reassignment().stored(s).version;
   }
-  return out;
 }
 
 std::optional<Violation> Explorer::check_state(
-    const msg::Cluster& c, const std::vector<std::uint64_t>& prev_qr) const {
+    const msg::Cluster& c, const std::vector<std::uint64_t>& prev_qr,
+    const std::vector<std::uint64_t>& cur_qr) const {
   Violation v;
   v.safety = msg::check_safety(c);
 
   // qr-monotonicity: §2.2 requires stored assignment versions to only
   // ever move forward; a decrease would resurrect a superseded quorum.
-  const std::vector<std::uint64_t> cur_qr = stored_qr_versions(c);
   for (std::size_t s = 0; s < cur_qr.size(); ++s) {
     if (cur_qr[s] < prev_qr[s]) {
       v.properties.push_back(PropertyViolation{
@@ -348,14 +326,82 @@ std::optional<Violation> Explorer::check_state(
   return v;
 }
 
+namespace {
+// Sleep-key run header: the run's length in the top 16 bits, the arena
+// offset of the next run in the chain below.
+constexpr int kRunLenShift = 48;
+constexpr std::uint64_t kRunNextMask = (std::uint64_t{1} << kRunLenShift) - 1;
+static_assert(kMaxModelStates <= kRunNextMask / 4096,
+              "arena offsets must hold thousands of runs per admissible state");
+} // namespace
+
+void Explorer::VisitedTable::clear() {
+  slots_.assign(1024, Slot{});
+  size_ = 0;
+  runs_.assign(1, 0);
+}
+
+std::size_t Explorer::VisitedTable::find(const Key& key) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = key[0] & mask;; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.head == 0 || s.key == key) return i;
+  }
+}
+
+bool Explorer::VisitedTable::covered(
+    std::size_t slot, std::span<const std::uint64_t> keys) const {
+  for (std::uint64_t at = slots_[slot].head; at != 0;) {
+    const std::uint64_t header = runs_[at];
+    const auto run = runs_.begin() + static_cast<std::ptrdiff_t>(at + 1);
+    if (std::includes(keys.begin(), keys.end(), run,
+                      run + static_cast<std::ptrdiff_t>(header >> kRunLenShift))) {
+      return true;
+    }
+    at = header & kRunNextMask;
+  }
+  return false;
+}
+
+void Explorer::VisitedTable::record(std::size_t slot, const Key& key,
+                                    std::span<const std::uint64_t> keys) {
+  const std::uint64_t at = runs_.size();
+  if (at > kRunNextMask ||
+      keys.size() >= (std::size_t{1} << (64 - kRunLenShift))) {
+    throw std::length_error("model visited set: sleep-set arena overflow");
+  }
+  Slot& s = slots_[slot];
+  runs_.push_back((std::uint64_t{keys.size()} << kRunLenShift) | s.head);
+  runs_.insert(runs_.end(), keys.begin(), keys.end());
+  if (s.head == 0) {
+    s.key = key;
+    ++size_;
+  }
+  s.head = at;
+  if (2 * size_ > slots_.size()) grow();
+}
+
+void Explorer::VisitedTable::grow() {
+  if (slots_.size() > slots_.max_size() / 2) {
+    throw std::length_error("model visited set: table overflow");
+  }
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  for (const Slot& s : old) {
+    if (s.head != 0) slots_[find(s.key)] = s;
+  }
+}
+
 bool Explorer::dfs(const msg::Cluster& cur, std::uint32_t submitted,
-                   std::uint32_t faulted, std::vector<SleepEntry> sleep,
-                   std::uint64_t depth, std::vector<std::uint64_t> prev_qr,
+                   std::uint32_t faulted, std::uint64_t depth,
+                   const std::vector<std::uint64_t>& prev_qr,
                    std::vector<Choice>& path) {
   ++stats_.explored;
   stats_.max_depth_seen = std::max(stats_.max_depth_seen, depth);
+  Frame& f = frames_[depth];
 
-  if (std::optional<Violation> v = check_state(cur, prev_qr)) {
+  stored_qr_versions(cur, f.qr);
+  if (std::optional<Violation> v = check_state(cur, prev_qr, f.qr)) {
     v->trace = path;
     found_ = std::move(v);
     return true;
@@ -364,67 +410,47 @@ bool Explorer::dfs(const msg::Cluster& cur, std::uint32_t submitted,
   // Visited set with the DPOR covering rule: a fingerprint revisited
   // under sleep set S is pruned only if it was already explored under
   // some S' ⊆ S — then everything S would allow was already tried.
-  std::vector<std::uint64_t> sleep_keys;
-  sleep_keys.reserve(sleep.size());
-  for (const SleepEntry& z : sleep) sleep_keys.push_back(z.key);
-  std::sort(sleep_keys.begin(), sleep_keys.end());
-  {
-    std::vector<std::uint64_t> words;
-    words.reserve(512);
-    cur.model_serialize(words);
-    words.push_back(submitted);
-    words.push_back(faulted);
-    std::uint64_t h1 = 1469598103934665603ull;
-    std::uint64_t h2 = 0x9E3779B97F4A7C15ull;
-    for (const std::uint64_t w : words) {
-      h1 = mix64(h1, w);
-      h2 = (h2 * 0x100000001B3ull) ^ (w + (h2 >> 7));
+  f.sleep_keys.clear();
+  for (const SleepEntry& z : f.sleep) f.sleep_keys.push_back(z.key);
+  std::sort(f.sleep_keys.begin(), f.sleep_keys.end());
+  words_.clear();
+  cur.model_serialize(words_);
+  words_.push_back(submitted);
+  words_.push_back(faulted);
+  const VisitedTable::Key key = Cluster::model_hash(words_);
+  const std::size_t slot = visited_.find(key);
+  if (!visited_.occupied(slot)) {
+    ++stats_.unique_states;
+    if (stats_.unique_states > scope_->max_states) {
+      stats_.state_capped = true;
+      return false;
     }
-    auto [it, fresh] = visited_.try_emplace(std::make_pair(h1, h2));
-    if (fresh) {
-      ++stats_.unique_states;
-      if (stats_.unique_states > scope_->max_states) {
-        stats_.state_capped = true;
-        visited_.erase(it);
-        return false;
-      }
-    } else {
-      for (const std::vector<std::uint64_t>& cached : it->second) {
-        if (std::includes(sleep_keys.begin(), sleep_keys.end(),
-                          cached.begin(), cached.end())) {
-          ++stats_.visited_hits;
-          return false;
-        }
-      }
-    }
-    it->second.push_back(sleep_keys);
+  } else if (visited_.covered(slot, f.sleep_keys)) {
+    ++stats_.visited_hits;
+    return false;
   }
+  visited_.record(slot, key, f.sleep_keys);
 
-  std::vector<Transition> all = enabled_transitions(cur, submitted, faulted);
-  if (all.empty()) return false;  // quiescent: everything resolved
+  enabled_transitions(cur, submitted, faulted, f.todo);
+  if (f.todo.empty()) return false;  // quiescent: everything resolved
 
-  std::vector<Transition> todo;
-  todo.reserve(all.size());
-  for (Transition& t : all) {
-    const bool asleep =
-        std::find(sleep_keys.begin(), sleep_keys.end(), t.key) !=
-        sleep_keys.end();
-    if (asleep) {
-      ++stats_.sleep_pruned;
-    } else {
-      todo.push_back(std::move(t));
-    }
-  }
-  if (todo.empty()) return false;
+  const auto asleep = [&](const Transition& t) {
+    return std::binary_search(f.sleep_keys.begin(), f.sleep_keys.end(),
+                              t.key);
+  };
+  const auto awake_end = std::remove_if(f.todo.begin(), f.todo.end(), asleep);
+  stats_.sleep_pruned += static_cast<std::uint64_t>(f.todo.end() - awake_end);
+  f.todo.erase(awake_end, f.todo.end());
+  if (f.todo.empty()) return false;
 
   if (depth >= scope_->max_depth) {
     stats_.depth_capped = true;
     return false;
   }
 
-  const std::vector<std::uint64_t> cur_qr = stored_qr_versions(cur);
-  std::vector<SleepEntry> sleep_work = std::move(sleep);
-  for (const Transition& t : todo) {
+  if (frames_.size() == depth + 1) frames_.emplace_back();
+  std::vector<SleepEntry>& child_sleep = frames_[depth + 1].sleep;
+  for (const Transition& t : f.todo) {
     msg::Cluster child = cur;
     child.model_rebind();
     std::uint32_t child_submitted = submitted;
@@ -434,23 +460,20 @@ bool Explorer::dfs(const msg::Cluster& cur, std::uint32_t submitted,
 
     // Sleep entries independent of t stay asleep in the child; a
     // dependent one is woken (its orderings relative to t now matter).
-    std::vector<SleepEntry> child_sleep;
-    for (const SleepEntry& z : sleep_work) {
+    child_sleep.clear();
+    for (const SleepEntry& z : f.sleep) {
       const bool dependent = z.global || t.global || z.site == t.site;
       if (!dependent) child_sleep.push_back(z);
     }
 
     path.push_back(t.choice);
-    if (dfs(child, child_submitted, child_faulted, std::move(child_sleep),
-            depth + 1, cur_qr, path)) {
+    if (dfs(child, child_submitted, child_faulted, depth + 1, f.qr, path)) {
       return true;
     }
     path.pop_back();
     if (stats_.state_capped) return false;
 
-    if (opt_.dpor) {
-      sleep_work.push_back(SleepEntry{t.key, t.site, t.global});
-    }
+    if (opt_.dpor) f.sleep.push_back(SleepEntry{t.key, t.site, t.global});
   }
   return false;
 }
@@ -461,8 +484,12 @@ std::optional<Violation> Explorer::run() {
   found_.reset();
 
   msg::Cluster root = make_cluster();
+  if (frames_.empty()) frames_.emplace_back();
+  frames_[0].sleep.clear();
+  std::vector<std::uint64_t> root_qr;
+  stored_qr_versions(root, root_qr);
   std::vector<Choice> path;
-  dfs(root, 0, 0, {}, 0, stored_qr_versions(root), path);
+  dfs(root, 0, 0, 0, root_qr, path);
   return std::move(found_);
 }
 
@@ -471,10 +498,12 @@ std::optional<Violation> Explorer::replay(
   msg::Cluster c = make_cluster();
   std::uint32_t submitted = 0;
   std::uint32_t faulted = 0;
-  std::vector<std::uint64_t> prev_qr = stored_qr_versions(c);
+  std::vector<std::uint64_t> prev_qr;
+  stored_qr_versions(c, prev_qr);
+  std::vector<std::uint64_t> cur_qr;
   std::vector<Choice> done;
 
-  if (std::optional<Violation> v = check_state(c, prev_qr)) {
+  if (std::optional<Violation> v = check_state(c, prev_qr, prev_qr)) {
     v->trace = done;
     return v;
   }
@@ -517,12 +546,12 @@ std::optional<Violation> Explorer::replay(
       }
     }
     done.push_back(choice);
-    std::vector<std::uint64_t> cur_qr = stored_qr_versions(c);
-    if (std::optional<Violation> v = check_state(c, prev_qr)) {
+    stored_qr_versions(c, cur_qr);
+    if (std::optional<Violation> v = check_state(c, prev_qr, cur_qr)) {
       v->trace = done;
       return v;
     }
-    prev_qr = std::move(cur_qr);
+    prev_qr.swap(cur_qr);
   }
   return std::nullopt;
 }

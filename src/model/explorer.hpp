@@ -1,8 +1,10 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,10 +88,10 @@ struct Options {
 /// Reduction: sleep sets over a conservative independence relation —
 /// deliveries/timers at distinct sites commute; submissions and faults
 /// are dependent with everything. The visited set stores 128-bit
-/// fingerprints (collision caveat: see docs/MODEL_CHECKING.md) and, with
-/// DPOR on, applies the covering rule — a revisit is pruned only when a
-/// cached exploration already covered at least the transitions the
-/// current one would try.
+/// fingerprints (collision caveat: see docs/MODEL_CHECKING.md) in a flat
+/// open-addressing table and, with DPOR on, applies the covering rule — a
+/// revisit is pruned only when a cached exploration already covered at
+/// least the transitions the current one would try.
 ///
 /// The scope must outlive the explorer (the cluster borrows its
 /// topology).
@@ -113,32 +115,87 @@ public:
   std::vector<Choice> minimize(const Violation& seed) const;
 
 private:
-  struct Transition;
-  struct SleepEntry;
+  struct Transition {
+    Choice choice;
+    std::uint64_t seq = 0;  // kEvent: live handle in the current state
+    std::uint64_t key = 0;  // sleep-set / covering identity (content hash)
+    net::SiteId site = 0;   // dependence site for kEvent
+    bool global = false;    // kSubmit / kFault: dependent with everything
+  };
+  struct SleepEntry {
+    std::uint64_t key = 0;
+    net::SiteId site = 0;
+    bool global = false;
+  };
+  /// Scratch owned by one DFS depth, reused by every state expanded
+  /// there: once the frames have grown, the explorer's own bookkeeping
+  /// allocates nothing per state.
+  struct Frame {
+    std::vector<SleepEntry> sleep;         // grows as siblings finish
+    std::vector<std::uint64_t> sleep_keys; // `sleep`'s keys, sorted
+    std::vector<Transition> todo;          // awake enabled transitions
+    std::vector<std::uint64_t> qr;         // stored QR versions here
+  };
+
+  /// The visited set: an open-addressing (linear-probing) table keyed by
+  /// the full 128-bit fingerprint. Each slot heads a chain of the sorted
+  /// sleep-key runs its state was explored under; all runs live in one
+  /// arena of words, each led by a header packing its length and the
+  /// arena offset of the next run in the chain.
+  class VisitedTable {
+  public:
+    using Key = std::array<std::uint64_t, 2>;
+
+    VisitedTable() { clear(); }
+    void clear();
+    /// The slot holding `key`, or the empty slot where it would go.
+    std::size_t find(const Key& key) const;
+    bool occupied(std::size_t slot) const { return slots_[slot].head != 0; }
+    /// The covering rule: true when some run recorded at `slot` is a
+    /// subset of the sorted `keys`.
+    bool covered(std::size_t slot, std::span<const std::uint64_t> keys) const;
+    /// Chains the sorted `keys` onto `slot`, claiming the slot for `key`
+    /// if it is empty. Invalidates slot indices (the table may grow).
+    void record(std::size_t slot, const Key& key,
+                std::span<const std::uint64_t> keys);
+
+  private:
+    struct Slot {
+      Key key{};
+      std::uint64_t head = 0;  // arena offset of the newest run; 0 = empty
+    };
+    void grow();
+
+    std::vector<Slot> slots_;  // power-of-two size, at most half full
+    std::size_t size_ = 0;
+    std::vector<std::uint64_t> runs_;  // arena; offset 0 is never a run
+  };
 
   msg::Cluster make_cluster() const;
-  std::vector<Transition> enabled_transitions(const msg::Cluster& c,
-                                              std::uint32_t submitted,
-                                              std::uint32_t faulted) const;
+  void enabled_transitions(const msg::Cluster& c, std::uint32_t submitted,
+                           std::uint32_t faulted,
+                           std::vector<Transition>& out) const;
   void apply(msg::Cluster& c, const Transition& t, std::uint32_t& submitted,
              std::uint32_t& faulted) const;
   std::optional<Violation> check_state(
-      const msg::Cluster& c, const std::vector<std::uint64_t>& prev_qr) const;
-  std::vector<std::uint64_t> stored_qr_versions(const msg::Cluster& c) const;
+      const msg::Cluster& c, const std::vector<std::uint64_t>& prev_qr,
+      const std::vector<std::uint64_t>& cur_qr) const;
+  void stored_qr_versions(const msg::Cluster& c,
+                          std::vector<std::uint64_t>& out) const;
 
+  /// Expands `cur` with the sleep set the caller left in frames_[depth].
   bool dfs(const msg::Cluster& cur, std::uint32_t submitted,
-           std::uint32_t faulted, std::vector<SleepEntry> sleep,
-           std::uint64_t depth, std::vector<std::uint64_t> prev_qr,
+           std::uint32_t faulted, std::uint64_t depth,
+           const std::vector<std::uint64_t>& prev_qr,
            std::vector<Choice>& path);
 
   const Scope* scope_;
   Options opt_;
   Stats stats_;
   std::optional<Violation> found_;
-  /// fingerprint -> sleep-key sets it was explored under (each sorted).
-  std::map<std::pair<std::uint64_t, std::uint64_t>,
-           std::vector<std::vector<std::uint64_t>>>
-      visited_;
+  VisitedTable visited_;
+  std::deque<Frame> frames_;  // by depth; deque keeps references stable
+  std::vector<std::uint64_t> words_;  // canonical stream of the state
 };
 
 } // namespace quora::model

@@ -202,15 +202,31 @@ io::AuditReport audit_model(std::istream& in) {
   }
 
   // Budgets. The parser rejects zero, so only the upper bounds remain.
-  if (scope.max_depth > kMaxModelDepth) {
-    error("depth " + std::to_string(scope.max_depth) + " exceeds the bound " +
-          std::to_string(kMaxModelDepth));
+  if (std::string why = depth_budget_error(scope.max_depth); !why.empty()) {
+    error(std::move(why));
   }
-  if (scope.max_states > kMaxModelStates) {
-    error("state budget " + std::to_string(scope.max_states) +
-          " exceeds the bound " + std::to_string(kMaxModelStates));
+  if (std::string why = states_budget_error(scope.max_states); !why.empty()) {
+    error(std::move(why));
   }
   return report;
+}
+
+std::string depth_budget_error(std::uint64_t depth) {
+  if (depth == 0) return "'depth' needs a positive count";
+  if (depth > kMaxModelDepth) {
+    return "depth " + std::to_string(depth) + " exceeds the bound " +
+           std::to_string(kMaxModelDepth);
+  }
+  return {};
+}
+
+std::string states_budget_error(std::uint64_t states) {
+  if (states == 0) return "'states' needs a positive count";
+  if (states > kMaxModelStates) {
+    return "state budget " + std::to_string(states) + " exceeds the bound " +
+           std::to_string(kMaxModelStates);
+  }
+  return {};
 }
 
 io::AuditReport audit_model_file(const std::string& path) {

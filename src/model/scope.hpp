@@ -85,4 +85,11 @@ Scope load_model_file(const std::string& path);
 io::AuditReport audit_model(std::istream& in);
 io::AuditReport audit_model_file(const std::string& path);
 
+/// Why a path-depth / visited-state budget is out of bounds, in the
+/// audit's wording, or "" when it is within (0, kMaxModelDepth] /
+/// (0, kMaxModelStates]. Shared with command-line overrides, which
+/// bypass the file and so its audit.
+std::string depth_budget_error(std::uint64_t depth);
+std::string states_budget_error(std::uint64_t states);
+
 } // namespace quora::model

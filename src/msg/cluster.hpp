@@ -5,6 +5,7 @@
 #include <map>
 #include <queue>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -281,9 +282,13 @@ public:
   /// safety-history digest) into `out` — the canonical form two states
   /// compare equal under. Absolute times are excluded by design.
   void model_serialize(std::vector<std::uint64_t>& out) const;
-  /// 128-bit FNV-style hash of model_serialize (collision caveat: the
-  /// visited set stores hashes, not states — see docs/MODEL_CHECKING.md).
+  /// 128-bit hash of model_serialize (collision caveat: the visited set
+  /// stores hashes, not states — see docs/MODEL_CHECKING.md).
   std::array<std::uint64_t, 2> model_fingerprint() const;
+  /// The word-at-a-time 128-bit hash behind model_fingerprint, for
+  /// callers that extend the canonical stream with state of their own.
+  static std::array<std::uint64_t, 2> model_hash(
+      std::span<const std::uint64_t> words) noexcept;
   /// Fix internal cross-references after a by-value copy: the component
   /// tracker must observe this cluster's network, not the source's. Must
   /// be called on every snapshot/restore copy before use. (Copying a

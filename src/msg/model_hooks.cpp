@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -13,29 +15,29 @@
 namespace quora::msg {
 namespace {
 
-/// FNV-1a over the canonical word stream, byte by byte.
-std::uint64_t fnv1a(const std::vector<std::uint64_t>& words, std::uint64_t h) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  for (const std::uint64_t w : words) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (w >> (8 * b)) & 0xFFull;
-      h *= kPrime;
-    }
-  }
-  return h;
+/// splitmix64's finalizer: full avalanche of one word.
+std::uint64_t avalanche(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
 }
 
-/// Second, structurally different mix (splitmix64 chaining) so the two
-/// fingerprint halves do not collide together.
-std::uint64_t splitmix_chain(const std::vector<std::uint64_t>& words,
-                             std::uint64_t h) {
-  for (const std::uint64_t w : words) {
-    std::uint64_t z = w + h + 0x9E3779B97F4A7C15ull;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    h = (h * 31) ^ (z ^ (z >> 31));
+/// One pending event's canonical encoding: a fixed-size inline record
+/// (a delivery, the longest, is 15 words). Records order exactly as the
+/// equivalent word vectors would: lexicographically, a prefix first.
+struct EventRecord {
+  std::array<std::uint64_t, 15> w;
+  std::size_t n;
+
+  bool operator<(const EventRecord& o) const {
+    return std::lexicographical_compare(w.begin(), w.begin() + n, o.w.begin(),
+                                        o.w.begin() + o.n);
   }
-  return h;
+};
+
+template <typename... W>
+EventRecord record(W... w) {
+  return EventRecord{{static_cast<std::uint64_t>(w)...}, sizeof...(W)};
 }
 
 } // namespace
@@ -223,12 +225,10 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
   // verdicts. Committed versions as a sorted multiset (a future commit
   // duplicating any of them violates uniqueness) and the newest install
   // (the stale-assignment floor of every future access).
-  std::vector<std::uint64_t> versions;
-  versions.reserve(commits_.size());
-  for (const CommitRecord& c : commits_) versions.push_back(c.version);
-  std::sort(versions.begin(), versions.end());
-  u(versions.size());
-  for (const std::uint64_t v : versions) u(v);
+  u(commits_.size());
+  const std::size_t versions_at = out.size();
+  for (const CommitRecord& c : commits_) u(c.version);
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(versions_at), out.end());
   std::uint64_t newest_install = 0;
   for (const InstallRecord& r : installs_) {
     newest_install = std::max(newest_install, r.version);
@@ -253,57 +253,70 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
     }
     return rank;
   };
-  std::vector<std::vector<std::uint64_t>> encodings;
-  encodings.reserve(model_queue_.size());
+  // The shipped scopes never queue more than ~20 events, so the records
+  // are encoded and sorted on the stack; a longer queue spills to the
+  // heap.
+  constexpr std::size_t kInlineRecords = 64;
+  std::array<EventRecord, kInlineRecords> inline_records;
+  std::vector<EventRecord> spilled;
+  EventRecord* records = inline_records.data();
+  if (model_queue_.size() > kInlineRecords) {
+    spilled.resize(model_queue_.size());
+    records = spilled.data();
+  }
+  std::size_t n = 0;
   for (const Event& e : model_queue_) {
-    std::vector<std::uint64_t> enc;
     switch (e.kind) {
       case Kind::kDelivery: {
         const Message& m = e.message;
-        enc = {1,
-               dir_of(e),
-               fifo_rank(e),
-               static_cast<std::uint64_t>(m.kind),
-               m.is_write ? 1u : 0u,
-               m.request,
-               m.coordinator,
-               m.sender,
-               m.replier,
-               m.votes,
-               m.version,
-               m.value,
-               m.qr_version,
-               m.qr_r,
-               m.qr_w};
+        records[n++] =
+            record(1, dir_of(e), fifo_rank(e), m.kind, m.is_write, m.request,
+                   m.coordinator, m.sender, m.replier, m.votes, m.version,
+                   m.value, m.qr_version, m.qr_r, m.qr_w);
         break;
       }
       case Kind::kTimer:
-        enc = {2, e.target, e.request, static_cast<std::uint64_t>(e.phase)};
+        records[n++] = record(2, e.target, e.request, e.phase);
         break;
       case Kind::kRetry:
-        enc = {3, e.target, e.request};
+        records[n++] = record(3, e.target, e.request);
         break;
       default:
-        enc = {4, static_cast<std::uint64_t>(e.kind), e.index, e.target,
-               e.request};
+        records[n++] = record(4, e.kind, e.index, e.target, e.request);
         break;
     }
-    encodings.push_back(std::move(enc));
   }
-  std::sort(encodings.begin(), encodings.end());
-  u(encodings.size());
-  for (const std::vector<std::uint64_t>& enc : encodings) {
-    u(enc.size());
-    for (const std::uint64_t w : enc) u(w);
+  std::sort(records, records + n);
+  u(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    u(records[i].n);
+    out.insert(out.end(), records[i].w.begin(),
+               records[i].w.begin() + records[i].n);
   }
+}
+
+std::array<std::uint64_t, 2> Cluster::model_hash(
+    std::span<const std::uint64_t> words) noexcept {
+  // Two independent word-at-a-time lanes: xxHash64's round and
+  // MurmurHash3's x64 round, each seeded differently and finished with a
+  // full avalanche over the length. Each word costs one dependent
+  // multiply per lane, and the lanes run in parallel.
+  std::uint64_t a = 0x9E3779B97F4A7C15ull;
+  std::uint64_t b = 0x27D4EB2F165667C5ull;
+  for (const std::uint64_t w : words) {
+    a = std::rotl(a + w * 0xC2B2AE3D27D4EB4Full, 31) * 0x9E3779B185EBCA87ull;
+    const std::uint64_t k =
+        std::rotl(w * 0x87C37B91114253D5ull, 31) * 0x4CF5AD432745937Full;
+    b = std::rotl(b ^ k, 27) * 5 + 0x52DCE729;
+  }
+  return {avalanche(a ^ words.size()), avalanche(b + words.size())};
 }
 
 std::array<std::uint64_t, 2> Cluster::model_fingerprint() const {
   std::vector<std::uint64_t> words;
   words.reserve(256);
   model_serialize(words);
-  return {fnv1a(words, 1469598103934665603ull),
-          splitmix_chain(words, 0x9E3779B97F4A7C15ull)};
+  return model_hash(words);
 }
 
 } // namespace quora::msg

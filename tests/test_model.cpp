@@ -5,13 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "io/config_audit.hpp"
 #include "io/topology_io.hpp"
 #include "model/explorer.hpp"
 #include "model/scope.hpp"
+#include "msg/cluster.hpp"
+
+#ifndef QUORA_EXAMPLES_DIR
+#error "QUORA_EXAMPLES_DIR must point at examples/ (set by tests/CMakeLists.txt)"
+#endif
 
 namespace {
 
@@ -22,6 +30,8 @@ using quora::model::Explorer;
 using quora::model::Options;
 using quora::model::Scope;
 using quora::model::Violation;
+using quora::msg::Cluster;
+using quora::msg::Message;
 
 Scope parse(const std::string& text) {
   std::istringstream in(text);
@@ -190,6 +200,175 @@ TEST(ModelExplorer, StateBudgetCapsAreReported) {
   Explorer explorer(scope);
   EXPECT_FALSE(explorer.run().has_value());
   EXPECT_TRUE(explorer.stats().state_capped);
+}
+
+Scope load_example(const std::string& name) {
+  return quora::model::load_model_file(std::string(QUORA_EXAMPLES_DIR) +
+                                       "/model/" + name);
+}
+
+struct Counts {
+  std::uint64_t explored;
+  std::uint64_t unique_states;
+  std::uint64_t visited_hits;
+  std::uint64_t sleep_pruned;
+};
+
+void expect_counts(const quora::model::Stats& stats, const Counts& want) {
+  EXPECT_EQ(stats.explored, want.explored);
+  EXPECT_EQ(stats.unique_states, want.unique_states);
+  EXPECT_EQ(stats.visited_hits, want.visited_hits);
+  EXPECT_EQ(stats.sleep_pruned, want.sleep_pruned);
+}
+
+// The exploration counts below are pinned: the DFS order, the covering
+// rule and the state-cap semantics decide them exactly, so a change to
+// the state store or the fingerprint must reproduce them to the state.
+
+TEST(ModelExplorer, PinnedCountsOnTheShippedSweepScope) {
+  const Scope scope = load_example("tiny_line.model");
+  Explorer with_dpor(scope, Options{/*dpor=*/true});
+  EXPECT_FALSE(with_dpor.run().has_value());
+  expect_counts(with_dpor.stats(), {25'615, 9'347, 12'862, 13'386});
+  Explorer without(scope, Options{/*dpor=*/false});
+  EXPECT_FALSE(without.run().has_value());
+  expect_counts(without.stats(), {28'892, 9'347, 19'545, 0});
+}
+
+TEST(ModelExplorer, PinnedCountsThroughVisitedTableGrowth) {
+  // 20k states take the visited table through several doublings and the
+  // run ends on the state cap, so growth, rehash and the cap all count.
+  Scope scope = load_example("mutation_crash_cleanup.model");
+  scope.chaos.mutations.clear();
+  scope.max_states = 20'000;
+  Explorer explorer(scope);
+  for (int run = 0; run < 2; ++run) {  // a second run starts from empty
+    EXPECT_FALSE(explorer.run().has_value());
+    expect_counts(explorer.stats(), {37'672, 20'001, 14'318, 43'940});
+    EXPECT_TRUE(explorer.stats().state_capped);
+  }
+}
+
+// Canonical-encoding properties of Cluster::model_serialize on the
+// 3-site line 0 - 1 - 2 (link 0 joins sites 0 and 1, link 1 sites 1
+// and 2).
+class ModelEncoding : public ::testing::Test {
+protected:
+  const Scope scope_ = parse(
+      "quorum 2 2\nsites 3\nlink 0 1\nlink 1 2\nat 1 access 0 write\n");
+
+  Cluster make() const {
+    Cluster::Params params;
+    params.model_mode = true;
+    params.spec = scope_.chaos.quorum;
+    return Cluster(scope_.chaos.system->topology, params, /*seed=*/1);
+  }
+  static Cluster copy(const Cluster& c) {
+    Cluster out = c;
+    out.model_rebind();
+    return out;
+  }
+  /// Fires the enabled delivery of `kind` from `sender` to `target`.
+  static void deliver(Cluster& c, Message::Kind kind,
+                      quora::net::SiteId sender, quora::net::SiteId target) {
+    for (const Cluster::ModelEvent& e : c.model_enabled_events()) {
+      if (e.kind == Cluster::ModelEventKind::kDelivery && e.target == target &&
+          e.message.kind == kind && e.message.sender == sender) {
+        ASSERT_TRUE(c.model_step_event(e.seq));
+        return;
+      }
+    }
+    FAIL() << "no enabled delivery " << sender << " -> " << target;
+  }
+  static std::vector<std::uint64_t> stream(const Cluster& c) {
+    std::vector<std::uint64_t> words;
+    c.model_serialize(words);
+    return words;
+  }
+  /// The enabled events in queue order, as (kind, sender, target).
+  static std::vector<std::tuple<int, quora::net::SiteId, quora::net::SiteId>>
+  queue_order(const Cluster& c) {
+    std::vector<std::tuple<int, quora::net::SiteId, quora::net::SiteId>> out;
+    for (const Cluster::ModelEvent& e : c.model_enabled_events()) {
+      out.emplace_back(static_cast<int>(e.kind), e.message.sender, e.target);
+    }
+    return out;
+  }
+};
+
+TEST_F(ModelEncoding, CommutingDeliveriesAtDistinctSitesEncodeEqual) {
+  Cluster root = make();
+  root.model_submit_access(1, /*is_read=*/true);
+  Cluster ab = copy(root);
+  deliver(ab, Message::Kind::kVoteRequest, 1, 0);
+  deliver(ab, Message::Kind::kVoteRequest, 1, 2);
+  Cluster ba = copy(root);
+  deliver(ba, Message::Kind::kVoteRequest, 1, 2);
+  deliver(ba, Message::Kind::kVoteRequest, 1, 0);
+
+  EXPECT_NE(queue_order(ab), queue_order(ba));  // the replies swapped places
+  EXPECT_EQ(stream(ab), stream(ba));
+  EXPECT_EQ(ab.model_fingerprint(), ba.model_fingerprint());
+  EXPECT_NE(stream(ab), stream(root));
+  EXPECT_NE(ab.model_fingerprint(), root.model_fingerprint());
+}
+
+TEST_F(ModelEncoding, FifoOrderWithinOneDirectionIsPartOfTheState) {
+  // Reads from both ends reach the middle site in either order; each
+  // arrival queues a reply back and a forward onward, so the direction
+  // 1 -> 2 holds the same two messages in opposite FIFO order.
+  Cluster root = make();
+  root.model_submit_access(0, /*is_read=*/true);
+  root.model_submit_access(2, /*is_read=*/true);
+  Cluster x = copy(root);
+  deliver(x, Message::Kind::kVoteRequest, 0, 1);
+  deliver(x, Message::Kind::kVoteRequest, 2, 1);
+  Cluster y = copy(root);
+  deliver(y, Message::Kind::kVoteRequest, 2, 1);
+  deliver(y, Message::Kind::kVoteRequest, 0, 1);
+
+  const auto head_to_2 = [](const Cluster& c) {
+    for (const Cluster::ModelEvent& e : c.model_enabled_events()) {
+      if (e.kind == Cluster::ModelEventKind::kDelivery && e.target == 2) {
+        return e.message;
+      }
+    }
+    ADD_FAILURE() << "nothing in flight towards site 2";
+    return Message{};
+  };
+  const Message hx = head_to_2(x);
+  const Message hy = head_to_2(y);
+  EXPECT_TRUE(hx.kind != hy.kind || hx.request != hy.request);
+  EXPECT_NE(stream(x), stream(y));
+  EXPECT_NE(x.model_fingerprint(), y.model_fingerprint());
+}
+
+TEST_F(ModelEncoding, MixedQueueEncodesTheSameAtAnyQueuePosition) {
+  // A write at site 0 wins site 1's vote; then its coordinator moving to
+  // phase 2 (a new timer and a commit request) commutes with site 2
+  // answering the forwarded request. The two orders leave the timer and
+  // the deliveries at different queue positions. (Retry events cannot
+  // occur here: model mode forces max_retries to 0.)
+  Cluster root = make();
+  root.model_submit_access(0, /*is_read=*/false);
+  deliver(root, Message::Kind::kVoteRequest, 0, 1);
+  Cluster ab = copy(root);
+  deliver(ab, Message::Kind::kVoteReply, 1, 0);
+  deliver(ab, Message::Kind::kVoteRequest, 1, 2);
+  Cluster ba = copy(root);
+  deliver(ba, Message::Kind::kVoteRequest, 1, 2);
+  deliver(ba, Message::Kind::kVoteReply, 1, 0);
+
+  const auto has_timer = [](const Cluster& c) {
+    for (const Cluster::ModelEvent& e : c.model_enabled_events()) {
+      if (e.kind == Cluster::ModelEventKind::kTimer) return true;
+    }
+    return false;
+  };
+  ASSERT_TRUE(has_timer(ab));
+  EXPECT_NE(queue_order(ab), queue_order(ba));
+  EXPECT_EQ(stream(ab), stream(ba));
+  EXPECT_EQ(ab.model_fingerprint(), ba.model_fingerprint());
 }
 
 TEST(ModelExplorer, ReplayOfAnEmptyTraceIsSafe) {

@@ -7,9 +7,10 @@
 // about — event-queue churn (single-heap and sharded), component-tracker
 // refresh under link flips (dense word-parallel path on the 101-site
 // topologies, sparse CSR path on the 50k/250k scale points, plus a
-// 1M-site construct+rebuild smoke), and two end-to-end simulation
-// workloads (topology 256 and topology 4949) — and emits
-// machine-readable numbers: ns/op, accesses/sec,
+// 1M-site construct+rebuild smoke), two end-to-end simulation
+// workloads (topology 256 and topology 4949), and the model checker's
+// exhaustive exploration of its shipped sweep scope — and emits
+// machine-readable numbers: ns/op, accesses/sec, unique states/sec,
 // tracker rebuilds/sec, and heap allocations observed by a global
 // counting hook. scripts/bench_compare.py diffs two of these JSONs with
 // a regression threshold; docs/PERFORMANCE.md describes the schema and
@@ -41,11 +42,14 @@
 #include <fstream>
 #include <iostream>
 #include <new>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "conn/component_tracker.hpp"
 #include "conn/live_network.hpp"
+#include "model/explorer.hpp"
+#include "model/scope.hpp"
 #include "net/builders.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256ss.hpp"
@@ -109,6 +113,7 @@ struct CaseResult {
   std::uint64_t alloc_bytes = 0;
   // Optional extras; negative = not applicable.
   double accesses_per_sec = -1.0;
+  double states_per_sec = -1.0;  // model cases: unique states explored
   double rebuilds = -1.0;
   double rebuilds_per_sec = -1.0;
 
@@ -270,6 +275,29 @@ CaseResult bench_sim_e2e(const Options& opt, const std::string& name,
     sim.run_accesses(items);
     if (probe.votes_seen == 0xffffffff) std::abort();
     r.rebuilds = static_cast<double>(sim.tracker().stats().full_rebuilds - rebuilds0);
+  });
+}
+
+// The model checker's states/s: exhaustive DPOR exploration of the
+// shipped sweep scope (the text of examples/model/tiny_line.model, pinned
+// here so the case does not depend on the working directory). `items`
+// counts explorations going in; the case then reports per unique state,
+// so ops_per_sec (and states_per_sec) is unique states/s.
+CaseResult bench_model_tiny_line(const Options& opt) {
+  const std::uint64_t runs = opt.quick ? 2 : 20;
+  std::istringstream text(
+      "name tiny-line\nquorum 2 2\nsites 3\nlink 0 1\nlink 1 2\n"
+      "at 1 access 0 write\nat 2 access 2 read\nat 3 link 0 down\n"
+      "depth 40\nstates 2000000\n");
+  const model::Scope scope = model::load_model(text);
+  return run_case("model_tiny_line", runs, [&](std::uint64_t items, CaseResult& r) {
+    std::uint64_t unique = 0;
+    for (std::uint64_t i = 0; i < items; ++i) {
+      model::Explorer explorer(scope);
+      if (explorer.run() || explorer.stats().state_capped) std::abort();
+      unique += explorer.stats().unique_states;
+    }
+    r.items = unique;
   });
 }
 
@@ -498,6 +526,9 @@ void write_json(std::ostream& out, const Options& opt,
     if (r.accesses_per_sec >= 0.0) {
       out << ", \"accesses_per_sec\": " << r.accesses_per_sec;
     }
+    if (r.states_per_sec >= 0.0) {
+      out << ", \"states_per_sec\": " << r.states_per_sec;
+    }
     if (r.rebuilds >= 0.0) {
       out << ", \"rebuilds\": " << r.rebuilds
           << ", \"rebuilds_per_sec\": " << r.rebuilds_per_sec;
@@ -603,9 +634,11 @@ int main(int argc, char** argv) {
     const auto t4949 = net::make_fully_connected(101);
     cases.push_back(bench_sim_e2e(opt, "topology4949", t4949, 150'000, 10'000));
   }
+  cases.push_back(bench_model_tiny_line(opt));
   for (CaseResult& r : cases) {
     finish_rates(r);
     if (r.name.rfind("sim_e2e_", 0) == 0) r.accesses_per_sec = r.ops_per_sec();
+    if (r.name.rfind("model_", 0) == 0) r.states_per_sec = r.ops_per_sec();
   }
 
   if (!opt.json_path.empty()) {

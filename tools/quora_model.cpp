@@ -19,9 +19,11 @@
 // plan whose embedded seed replays the same violation under quora_chaos.
 //
 // Exit status: 0 every scope explored safe, 1 a violation was found,
-// 2 usage, I/O, or scope-audit problems — CI gates on it directly.
+// 2 usage, I/O, or scope-audit problems (including a --depth/--states
+// override outside the audit's bounds) — CI gates on it directly.
 
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -42,7 +44,13 @@ namespace {
          "  --no-dpor         explore without partial-order reduction\n"
          "                    (cross-validation: same verdict, more states)\n"
          "  --depth N         override the scope's path-depth bound\n"
+         "                    (1.."
+      << quora::model::kMaxModelDepth
+      << ", as in a scope file)\n"
          "  --states N        override the scope's visited-state budget\n"
+         "                    (1.."
+      << quora::model::kMaxModelStates
+      << ", as in a scope file)\n"
          "  --mutate NAME     enable a seeded protocol mutation on top of\n"
          "                    the scope (accept-stale-qr |\n"
          "                    skip-crash-cleanup)\n"
@@ -63,6 +71,14 @@ std::optional<std::uint64_t> parse_u64(const std::string& s) {
   } catch (const std::exception&) {
     return std::nullopt;
   }
+}
+
+/// An override bypasses the scope file and so its audit: hold it to the
+/// same bounds, in the same words, with the same exit status.
+void check_budget(const std::string& flag, const std::string& why) {
+  if (why.empty()) return;
+  std::cerr << "quora_model: " << flag << ": " << why << '\n';
+  std::exit(2);
 }
 
 } // namespace
@@ -93,9 +109,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--depth") {
       depth_override = parse_u64(value());
       if (!depth_override) usage();
+      check_budget(arg, model::depth_budget_error(*depth_override));
     } else if (arg == "--states") {
       states_override = parse_u64(value());
       if (!states_override) usage();
+      check_budget(arg, model::states_budget_error(*states_override));
     } else if (arg == "--mutate") {
       extra_mutations.push_back(value());
     } else if (arg == "--no-mutations") {
