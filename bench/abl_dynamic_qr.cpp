@@ -109,8 +109,10 @@ int main(int argc, char** argv) {
   // impossible). The "safe" agent keeps write availability >= 20% so it
   // can keep reassigning -- the very enhancement 5.4 argues for.
   quora::dyn::AdaptiveReassigner::Options free_opts;
-  free_opts.min_write_availability = 0.0;
+  free_opts.site_reliability = config.reliability;
+  free_opts.objective = quora::adapt::AdaptiveController::Objective::kAvailability;
   quora::dyn::AdaptiveReassigner::Options safe_opts;
+  safe_opts.site_reliability = config.reliability;
   safe_opts.min_write_availability = 0.20;
   quora::dyn::AdaptiveReassigner agent_free(topo, qr_free, free_opts);
   quora::dyn::AdaptiveReassigner agent_safe(topo, qr_safe, safe_opts);

@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
   ProtocolMeter m_lad(qr_decider(qr_lad));
 
   quora::dyn::AdaptiveReassigner::Options est_opts;
+  est_opts.site_reliability = config.reliability;
   est_opts.min_write_availability = 0.20;
   quora::dyn::AdaptiveReassigner estimator(topo, qr_est, est_opts);
   quora::dyn::LadderAgent ladder(topo, qr_lad);

@@ -89,6 +89,7 @@ int main(int argc, char** argv) {
   });
 
   quora::dyn::AdaptiveReassigner::Options qr_opts;
+  qr_opts.site_reliability = config.reliability;
   qr_opts.min_write_availability = 0.15;
   quora::dyn::AdaptiveReassigner qr_agent(topo, qr, qr_opts);
   OverthrowAgent vote_agent(votes);
@@ -132,9 +133,11 @@ int main(int argc, char** argv) {
                "between ROWA and majority, trading read availability for a\n"
                "nonzero write rate — its 15% floor is enforced on the "
                "*estimated* curve, and\nin this harsh regime the estimate "
-               "overshoots the realized write rate. The\nelectorate/vote "
-               "adapters keep writes healthiest but cannot relax reads\n"
-               "separately at all — the read-write distinction this paper "
-               "is about.)\n";
+               "overshoots the realized write rate. When no\nassignment "
+               "meets the floor on the estimate, the agent holds its current "
+               "one\nrather than fall back to read-one/write-all. The "
+               "electorate/vote adapters keep\nwrites healthiest but cannot "
+               "relax reads separately at all — the read-write\ndistinction "
+               "this paper is about.)\n";
   return 0;
 }

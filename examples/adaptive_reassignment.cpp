@@ -1,9 +1,10 @@
 // Adaptive quorum reassignment in action (§2.2 + §4.3 end to end).
 //
 // A 45-site network serves a workload that flips between a read-heavy day
-// mix and a write-heavy night mix. An AdaptiveReassigner watches the
-// access stream, re-estimates the component-size distribution and the
-// read rate on-line, and installs better assignments through the
+// mix and a write-heavy night mix. An AdaptiveReassigner samples the
+// access stream into the adaptive controller, which re-estimates the
+// component-size distribution on-line, re-runs the optimizer at the
+// agent's read-rate estimate, and recommends installs through the
 // version-numbered QR protocol whenever the predicted gain is large
 // enough. The log below shows each phase's effective assignment drifting
 // to that phase's optimum — and the safety counter proving no access was
@@ -25,8 +26,12 @@ int main() {
   const quora::net::Topology topo = quora::net::make_ring_with_chords(45, 4);
   const quora::net::Vote total = topo.total_votes();
 
+  quora::sim::SimConfig config;
+  config.warmup_accesses = 5'000;
+
   quora::core::QuorumReassignment qr(topo, quora::quorum::majority(total));
   quora::dyn::AdaptiveReassigner::Options options;
+  options.site_reliability = config.reliability;
   options.min_write_availability = 0.20;  // stay reassignable (see 5.4)
   quora::dyn::AdaptiveReassigner agent(topo, qr, options);
 
@@ -42,9 +47,6 @@ int main() {
     }
     return decision.granted;
   });
-
-  quora::sim::SimConfig config;
-  config.warmup_accesses = 5'000;
 
   quora::sim::AccessSpec spec;
   spec.alpha = 0.9;

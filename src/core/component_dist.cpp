@@ -4,6 +4,7 @@
 #include <limits>
 #include <string>
 #include <stdexcept>
+#include <utility>
 
 #include "core/contracts.hpp"
 
@@ -21,6 +22,19 @@ void check_probability(double x, const char* what) {
   if (!(x >= 0.0 && x <= 1.0)) {
     throw std::invalid_argument(std::string(what) + " must be in [0,1]");
   }
+}
+
+// The closed forms are cold paths, so they validate their output in every
+// build type: a formula that cancels catastrophically (Gilbert's Rel
+// recursion at low link reliability) must fail loudly instead of handing
+// the optimizer a "density" of mass 1e12.
+VotePdf require_density(VotePdf pdf, const char* what) {
+  if (!is_valid_pdf(pdf, 1e-6)) {
+    throw std::domain_error(std::string(what) +
+                            ": result is not a probability density (total " +
+                            std::to_string(pdf_total(pdf)) + ")");
+  }
+  return pdf;
 }
 
 } // namespace
@@ -146,9 +160,7 @@ VotePdf ring_site_pdf(std::uint32_t n, double p, double r) {
     }
     pdf[v] = static_cast<double>(value);
   }
-  QUORA_INVARIANT(is_valid_pdf(pdf, 1e-6),
-                  "ring closed form must produce a probability density");
-  return pdf;
+  return require_density(std::move(pdf), "ring_site_pdf");
 }
 
 VotePdf fully_connected_site_pdf(std::uint32_t n, double p, double r) {
@@ -173,9 +185,7 @@ VotePdf fully_connected_site_pdf(std::uint32_t n, double p, double r) {
                               static_cast<long double>(rel[v]);
     pdf[v] = static_cast<double>(value);
   }
-  QUORA_INVARIANT(is_valid_pdf(pdf, 1e-6),
-                  "fully-connected closed form must produce a density");
-  return pdf;
+  return require_density(std::move(pdf), "fully_connected_site_pdf");
 }
 
 VotePdf bus_site_pdf(std::uint32_t n, double p, double r, BusArchitecture arch) {
@@ -218,9 +228,7 @@ VotePdf bus_site_pdf(std::uint32_t n, double p, double r, BusArchitecture arch) 
   }
   // This is precisely the f(1) discrepancy noted in the header: the exact
   // expression sums to 1 where the paper's printed form does not.
-  QUORA_INVARIANT(is_valid_pdf(pdf, 1e-6),
-                  "bus closed form must produce a probability density");
-  return pdf;
+  return require_density(std::move(pdf), "bus_site_pdf");
 }
 
 } // namespace quora::core

@@ -27,6 +27,11 @@ double pdf_mean(const VotePdf& pdf);
 VotePdf mix_pdfs(const std::vector<VotePdf>& pdfs, const std::vector<double>& weights);
 
 /// --- Closed forms of §4.2 (one copy and one vote per site, so T = n) ---
+///
+/// Each closed form validates its result in every build type and throws
+/// std::domain_error when it is not a density within 1e-6 (the
+/// fully-connected form fails this way at very low link reliability, where
+/// Gilbert's recursion cancels catastrophically).
 
 /// Gilbert's recursive all-terminal reliability of a complete graph on m
 /// sites whose links are up independently with probability r (sites do not

@@ -1,16 +1,22 @@
 #include "dyn/adaptive.hpp"
 
-#include "core/contracts.hpp"
-#include "core/optimize.hpp"
-
 namespace quora::dyn {
 
+AdaptiveReassigner::Options::Options() {
+  threshold = 0.01;
+  dwell = 1;
+  forget = 0.5;
+  objective = adapt::AdaptiveController::Objective::kWriteConstrained;
+  min_write_availability = 0.05;
+}
+
 AdaptiveReassigner::AdaptiveReassigner(const net::Topology& topo,
-                                       core::QuorumReassignment& qr, Options options)
-    : topo_(&topo),
-      qr_(&qr),
-      options_(options),
-      votes_seen_(topo.total_votes() + 1, 0.0) {}
+                                       core::QuorumReassignment& qr,
+                                       const Options& options)
+    : qr_(&qr),
+      controller_(topo.site_count(), topo.total_votes(), options),
+      reassess_every_(options.reassess_every),
+      warmup_accesses_(options.warmup_accesses) {}
 
 double AdaptiveReassigner::estimated_alpha() const {
   const double total = read_weight_ + write_weight_;
@@ -19,54 +25,23 @@ double AdaptiveReassigner::estimated_alpha() const {
 
 void AdaptiveReassigner::on_access(const sim::Simulator& sim,
                                    const sim::AccessEvent& ev) {
-  const net::Vote v = sim.tracker().component_votes(ev.site);
-  votes_seen_[v] += 1.0;
+  // Footnote 4: a site observes only while operational; the controller's
+  // read-out puts the down mass back at v = 0.
+  if (sim.network().is_site_up(ev.site)) {
+    controller_.histogram().record(ev.site, sim.tracker().component_votes(ev.site));
+  }
   (ev.is_read ? read_weight_ : write_weight_) += 1.0;
-  ++samples_;
+  ++accesses_;
   ++since_reassess_;
-  if (since_reassess_ >= options_.reassess_every && samples_ >= options_.min_samples) {
-    maybe_reassess(sim, ev.site);
-    since_reassess_ = 0;
-  }
-}
+  if (since_reassess_ < reassess_every_ || accesses_ < warmup_accesses_) return;
+  since_reassess_ = 0;
 
-void AdaptiveReassigner::maybe_reassess(const sim::Simulator& sim,
-                                        net::SiteId origin) {
-  // Normalize the decayed histogram into a density; the same samples serve
-  // both mixtures because reads and writes are drawn from one stream here
-  // (uniform access — the paper's setting).
-  double total = 0.0;
-  for (const double x : votes_seen_) total += x;
-  if (total <= 0.0) return;
-  core::VotePdf pdf(votes_seen_.size());
-  for (std::size_t i = 0; i < pdf.size(); ++i) pdf[i] = votes_seen_[i] / total;
-  QUORA_INVARIANT(core::is_valid_pdf(pdf, 1e-9),
-                  "normalized votes-seen histogram must be a density");
-
-  const core::AvailabilityCurve curve(pdf);
-  const double alpha = estimated_alpha();
-  QUORA_ASSERT(alpha >= 0.0 && alpha <= 1.0,
-               "estimated read fraction escaped [0, 1]");
-  core::OptResult best = core::optimize_exhaustive(curve, alpha);
-  if (options_.min_write_availability > 0.0) {
-    const auto constrained = core::optimize_write_constrained(
-        curve, alpha, options_.min_write_availability);
-    if (constrained) best = *constrained;
-    // Infeasible floor: fall through to the unconstrained optimum rather
-    // than freeze — a degraded network may not admit any write quorum.
-  }
-  const core::QuorumReassignment::Assignment current =
-      qr_->effective(sim.tracker(), origin);
-  const double current_value = curve.value(alpha, current.spec.q_r, current.spec.q_w);
-
-  if (best.value - current_value > options_.improvement_threshold &&
-      !(best.spec == current.spec)) {
-    if (qr_->try_install(sim.tracker(), origin, best.spec)) ++installs_;
-  }
-
-  for (double& x : votes_seen_) x *= options_.decay;
-  read_weight_ *= options_.decay;
-  write_weight_ *= options_.decay;
+  const adapt::AdaptiveController::Decision d = controller_.epoch(
+      estimated_alpha(), qr_->effective(sim.tracker(), ev.site).spec);
+  if (d.install && qr_->try_install(sim.tracker(), ev.site, d.spec)) ++installs_;
+  const double forget = controller_.options().forget;
+  read_weight_ *= forget;
+  write_weight_ *= forget;
 }
 
 } // namespace quora::dyn

@@ -14,8 +14,9 @@ namespace quora::dyn {
 /// selection/ordering mechanism unspecified and unevaluated (§1).
 ///
 /// The ladder is the canonical family q_w = T - q_r + 1 ordered by q_r.
-/// Instead of re-estimating the component-size distribution (the
-/// AdaptiveReassigner's strategy), the agent watches *denials*: a burst
+/// Instead of re-estimating the component-size distribution (what the
+/// AdaptiveReassigner does through adapt::AdaptiveController), the agent
+/// watches *denials*: a burst
 /// of read denials is evidence q_r is too high, a burst of write denials
 /// that q_w is (i.e. q_r too low). When one side's denial share crosses a
 /// threshold, the agent steps the assignment one rung in the helpful

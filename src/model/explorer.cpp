@@ -218,7 +218,7 @@ void Explorer::apply(msg::Cluster& c, const Transition& t,
                      std::uint32_t& submitted, std::uint32_t& faulted) const {
   switch (t.choice.kind) {
     case Choice::Kind::kEvent: {
-      const bool fired = c.model_step_event(t.seq);
+      [[maybe_unused]] const bool fired = c.model_step_event(t.seq);
       QUORA_PRECONDITION(fired, "enabled event vanished before firing");
       break;
     }

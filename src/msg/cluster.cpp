@@ -868,7 +868,8 @@ void Cluster::maybe_cascade(net::SiteId failed) {
   }
 }
 
-void Cluster::record_region(net::SiteId origin, bool granted, double latency) {
+void Cluster::record_region(net::SiteId origin, bool granted,
+                            [[maybe_unused]] double latency) {
   if (site_region_.empty()) return;
   const std::uint32_t r = site_region_[origin];
   if (r == kNoRegion || r >= obs_region_grants_.size()) return;
@@ -1143,7 +1144,7 @@ void Cluster::handle_adapt_epoch() {
   const std::size_t end = outcomes_.size();
   std::uint64_t granted = 0;
   for (std::size_t i = adapt_window_start_; i < end; ++i) {
-    granted += outcomes_[i].granted ? 1 : 0;
+    granted += outcomes_[i].granted ? 1u : 0u;
   }
   const std::size_t window = end - adapt_window_start_;
   const double window_avail =

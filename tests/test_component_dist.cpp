@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/component_dist.hpp"
@@ -259,6 +260,51 @@ TEST(AllClosedForms, ParameterGuards) {
   EXPECT_THROW(fully_connected_site_pdf(1, 0.5, 0.5), std::invalid_argument);
   EXPECT_THROW(bus_site_pdf(1, 0.5, 0.5, BusArchitecture::kSitesDieWithBus),
                std::invalid_argument);
+}
+
+TEST(FullyConnectedPdf, ThrowsWhenGilbertRecursionCancels) {
+  // At r = .01 the 1 - sum recursion for Rel cancels catastrophically and
+  // the binomial weights amplify the residue (mass ~4e12 at n = 101); the
+  // closed form must refuse that in every build type.
+  EXPECT_THROW(fully_connected_site_pdf(101, 0.96, 0.01), std::domain_error);
+  EXPECT_THROW(fully_connected_site_pdf(45, 0.96, 0.01), std::domain_error);
+}
+
+TEST(AllClosedForms, ReturnDensityOrThrowOverTheGrid) {
+  // Each closed form either returns a density (within the 1e-6 it checks)
+  // or throws std::domain_error — never a silent non-density.
+  const auto valid_or_throws = [](auto&& closed_form) {
+    try {
+      return is_valid_pdf(closed_form(), 1e-6);
+    } catch (const std::domain_error&) {
+      return true;
+    }
+  };
+  int ring_throws = 0;
+  for (const std::uint32_t n : {3u, 5u, 10u, 21u, 45u, 101u}) {
+    for (const double p : {0.5, 0.8, 0.9, 0.96, 0.99}) {
+      for (const double r : {0.01, 0.05, 0.1, 0.3, 0.5, 0.8, 0.96, 1.0}) {
+        const std::string at = "n=" + std::to_string(n) +
+                               " p=" + std::to_string(p) +
+                               " r=" + std::to_string(r);
+        EXPECT_TRUE(valid_or_throws([&] { return ring_site_pdf(n, p, r); })) << at;
+        EXPECT_TRUE(valid_or_throws(
+            [&] { return fully_connected_site_pdf(n, p, r); })) << at;
+        for (const BusArchitecture arch : {BusArchitecture::kSitesDieWithBus,
+                                           BusArchitecture::kSitesSurviveBus}) {
+          EXPECT_TRUE(valid_or_throws([&] { return bus_site_pdf(n, p, r, arch); }))
+              << at;
+        }
+        try {
+          (void)ring_site_pdf(n, p, r);
+        } catch (const std::domain_error&) {
+          ++ring_throws;
+        }
+      }
+    }
+  }
+  // The ring form has no cancellation: it is valid on the whole grid.
+  EXPECT_EQ(ring_throws, 0);
 }
 
 } // namespace

@@ -23,7 +23,7 @@ TEST(Contracts, PassingChecksAreSilent) {
 
 TEST(Contracts, ActiveFlagMatchesMacroState) {
   int evaluations = 0;
-  const auto probe = [&evaluations]() {
+  [[maybe_unused]] const auto probe = [&evaluations]() {
     ++evaluations;
     return true;
   };

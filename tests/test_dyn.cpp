@@ -217,5 +217,59 @@ TEST(AdaptiveReassigner, NoInstallsBeforeMinSamples) {
   EXPECT_EQ(qr.latest_version(), 1u);
 }
 
+TEST(AdaptiveReassigner, NoFloorLocksInReadOneWriteAll) {
+  // §5.4's pathology: with no write floor a read-heavy phase installs
+  // q_w = T, and every later install needs a write quorum under that
+  // assignment — the whole network, which a 45-site ring at 90%
+  // reliability essentially never is.
+  const net::Topology topo = net::make_ring(45);
+  const net::Vote total = topo.total_votes();
+  core::QuorumReassignment qr(topo, quorum::majority(total));
+  sim::SimConfig config;
+  config.reliability = 0.90;
+  AdaptiveReassigner::Options options;
+  options.objective = adapt::AdaptiveController::Objective::kAvailability;
+  options.site_reliability = config.reliability;
+  AdaptiveReassigner agent(topo, qr, options);
+
+  sim::AccessSpec spec;
+  spec.alpha = 0.95;
+  sim::Simulator sim(topo, config, spec, 36);
+  sim.add_access_observer(&agent);
+  sim.run_accesses(40'000);
+  ASSERT_GT(agent.installs(), 0u);
+  EXPECT_EQ(qr.effective(sim.tracker(), 0).spec.q_w, total);
+
+  const std::uint64_t installs = agent.installs();
+  const std::uint64_t version = qr.latest_version();
+  const std::uint64_t recommended = agent.controller().installs_recommended();
+  sim.set_access_alpha(0.05);
+  sim.run_accesses(40'000);
+  // The controller keeps asking to leave read-one/write-all; no install
+  // gets through.
+  EXPECT_GT(agent.controller().installs_recommended(), recommended);
+  EXPECT_EQ(agent.installs(), installs);
+  EXPECT_EQ(qr.latest_version(), version);
+}
+
+TEST(AdaptiveReassigner, HoldsOnAnInfeasibleWriteFloor) {
+  // No assignment reaches 99% write availability on a ring, so the
+  // controller reports the floor infeasible and keeps the present
+  // assignment rather than installing the unconstrained optimum.
+  const net::Topology topo = net::make_ring(25);
+  core::QuorumReassignment qr(topo, quorum::majority(25));
+  AdaptiveReassigner::Options options;
+  options.min_write_availability = 0.99;
+  AdaptiveReassigner agent(topo, qr, options);
+
+  sim::AccessSpec spec;
+  spec.alpha = 0.95;
+  sim::Simulator sim(topo, sim::SimConfig{}, spec, 37);
+  sim.add_access_observer(&agent);
+  sim.run_accesses(60'000);
+  EXPECT_EQ(agent.installs(), 0u);
+  EXPECT_EQ(qr.latest_version(), 1u);
+}
+
 } // namespace
 } // namespace quora::dyn

@@ -45,7 +45,9 @@ TEST(EventQueue, EqualTimesPopInInsertionOrder) {
   while (!q.empty()) {
     const sim::Event e = q.pop();
     EXPECT_DOUBLE_EQ(e.time, 5.0);
-    if (!first) EXPECT_GT(e.seq, prev_seq);
+    if (!first) {
+      EXPECT_GT(e.seq, prev_seq);
+    }
     prev_seq = e.seq;
     first = false;
     tied.push_back(e.index);
