@@ -318,6 +318,61 @@ TEST(GoldenDeterminism, ChaosGeoRegionOutageObserved) {
   }
 }
 
+// Lossy, slow, duplicating links under three flap trains: the only
+// golden where floods meet duplicate and delayed deliveries, so it pins
+// flood deduplication, reply relaying and the FIFO clock under message
+// faults.
+TEST(GoldenDeterminism, ChaosFlappingLinks) {
+  expect_matches_golden("chaos_flapping_links.log",
+                        record_chaos_run("flapping_links.chaos"));
+}
+
+TEST(GoldenDeterminism, ChaosFlappingLinksObserved) {
+  if (regen_requested()) GTEST_SKIP() << "fixtures regenerate unobserved";
+  obs::Registry registry;
+  obs::TraceRecorder trace(1 << 20);
+  expect_matches_golden("chaos_flapping_links.log",
+                        record_chaos_run("flapping_links.chaos", &registry,
+                                         &trace));
+  if (obs::kEnabled) {
+    EXPECT_GT(trace.recorded(), 0u);
+    const obs::Registry::Snapshot snap = registry.snapshot();
+    std::uint64_t duplicates = 0, drops = 0;
+    for (const auto& [name, value] : snap.counters) {
+      if (name == "fault.msg_duplicates") duplicates = value;
+      if (name == "fault.msg_drops") drops = value;
+    }
+    EXPECT_GT(duplicates, 0u);
+    EXPECT_GT(drops, 0u);
+  }
+}
+
+// Coordinators crashed between their commit flood and their ack quorum:
+// pins the crash-on-commit path, where a failed site's pending
+// coordinations resolve and its flood state is cleared mid-protocol.
+TEST(GoldenDeterminism, ChaosCrashDuringCommit) {
+  expect_matches_golden("chaos_crash_during_commit.log",
+                        record_chaos_run("crash_during_commit.chaos"));
+}
+
+TEST(GoldenDeterminism, ChaosCrashDuringCommitObserved) {
+  if (regen_requested()) GTEST_SKIP() << "fixtures regenerate unobserved";
+  obs::Registry registry;
+  obs::TraceRecorder trace(1 << 20);
+  expect_matches_golden("chaos_crash_during_commit.log",
+                        record_chaos_run("crash_during_commit.chaos",
+                                         &registry, &trace));
+  if (obs::kEnabled) {
+    EXPECT_GT(trace.recorded(), 0u);
+    const obs::Registry::Snapshot snap = registry.snapshot();
+    std::uint64_t crashed = 0;
+    for (const auto& [name, value] : snap.counters) {
+      if (name == "cluster.denies.coordinator-crash") crashed = value;
+    }
+    EXPECT_GT(crashed, 0u);
+  }
+}
+
 /// Retry-exhaustion fixture: a drop-everything window forces every
 /// phase-1 flood to evaporate, so each access burns its full retry
 /// budget under pure doubling backoff (jitter 0) and resolves
