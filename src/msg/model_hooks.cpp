@@ -177,8 +177,9 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
   }
   for (const char b : dir_blocked_) u(static_cast<std::uint64_t>(b));
 
-  // Per-site durable + volatile protocol state. std::map iteration is in
-  // key order, so the encoding is canonical by construction.
+  // Per-site durable + volatile protocol state. Pending maps, replier
+  // sets and flood windows all iterate in key order, so the encoding is
+  // canonical by construction.
   for (net::SiteId s = 0; s < topo_->site_count(); ++s) {
     u(copies_[s].value);
     u(copies_[s].version);
@@ -201,9 +202,9 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
       u(p.denied);
       u(p.acked);
       u(p.repliers.size());
-      for (const net::SiteId r : p.repliers) u(r);
+      p.repliers.for_each(u);
       u(p.ackers.size());
-      for (const net::SiteId r : p.ackers) u(r);
+      p.ackers.for_each(u);
       u(p.best_version);
       u(p.best_value);
       u(p.write_value);
@@ -212,12 +213,18 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
       u(floor_of(installs_, p.submit_time));
     }
 
-    u(floods_[s].size());
-    for (const auto& [key, fs] : floods_[s]) {
+    // Present floods, counted once the window has been walked.
+    const std::size_t count_at = out.size();
+    u(0);
+    std::uint64_t floods = 0;
+    floods_[s].for_each([&](std::uint64_t key, std::uint32_t slot) {
+      const bool has_parent = FloodWindow::has_parent(slot);
       u(key);
-      u(fs.has_parent ? 1 : 0);
-      u(fs.has_parent ? fs.parent_link : 0);
-    }
+      u(has_parent ? 1 : 0);
+      u(has_parent ? FloodWindow::parent_link(slot) : 0);
+      ++floods;
+    });
+    out[count_at] = floods;
   }
   u(next_request_);
 

@@ -8,8 +8,9 @@
 // flips (dense word-parallel path on the 101-site topologies, sparse
 // CSR path on the 50k/250k scale points, plus a 1M-site
 // construct+rebuild smoke), two end-to-end simulation
-// workloads (topology 256 and topology 4949), and the model checker's
-// exhaustive exploration of its shipped sweep scope — and emits
+// workloads (topology 256 and topology 4949), the message-level cluster
+// on the adaptive drift race, and the model checker's exhaustive
+// exploration of its shipped sweep scope — and emits
 // machine-readable numbers: ns/op, accesses/sec, unique states/sec,
 // tracker rebuilds/sec, and heap allocations observed by a global
 // counting hook. scripts/bench_compare.py diffs two of these JSONs with
@@ -42,13 +43,18 @@
 #include <fstream>
 #include <iostream>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "adapt/controller.hpp"
 #include "conn/component_tracker.hpp"
 #include "conn/live_network.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
 #include "model/explorer.hpp"
+#include "msg/cluster.hpp"
 #include "model/scope.hpp"
 #include "net/builders.hpp"
 #include "rng/distributions.hpp"
@@ -249,6 +255,47 @@ CaseResult bench_sim_e2e(const Options& opt, const std::string& name,
     sim.run_accesses(items);
     if (probe.votes_seen == 0xffffffff) std::abort();
     r.rebuilds = static_cast<double>(sim.tracker().stats().full_rebuilds - rebuilds0);
+  });
+}
+
+// The message-level cluster: the adaptive drift race of
+// examples/chaos/adaptive_drift_race.chaos (its text pinned here, like
+// model_tiny_line's scope), run to the horizon under the live failure
+// process with the fault injector attached — once frozen and once with
+// the adaptive controller — with the parameters `quora_chaos --race`
+// uses for a plan that ramps failure rates. `items` counts decided
+// accesses, so ns_per_op is ns per decided access. Quick mode runs the
+// frozen side over the first quarter of the horizon.
+CaseResult bench_msg_cluster_drift(const Options& opt) {
+  std::istringstream text(
+      "name adaptive-drift-race\nseed 9001\nhorizon 1200\nquorum 4 22\n"
+      "sites 25\nring\nchords 4\n"
+      "at 600 alpha 0.1\nat 600 reliability 0.90\nat 600 rho 0.02\n");
+  const fault::ChaosSpec spec = fault::load_chaos(text);
+  const net::Topology& topo = spec.system->topology;
+  msg::Cluster::Params params;
+  params.spec = spec.quorum;
+  params.max_retries = 2;
+  params.config.reliability = 0.96;
+  params.config.rho = 1.0 / 128.0;
+  const double horizon = opt.quick ? spec.horizon / 4 : spec.horizon;
+  const int sides = opt.quick ? 1 : 2;
+  return run_case("msg_cluster_drift", 0, [&](std::uint64_t, CaseResult& r) {
+    std::uint64_t decided = 0;
+    for (int side = 0; side < sides; ++side) {
+      msg::Cluster cluster(topo, params, opt.seed);
+      fault::FaultInjector injector(spec.plan, opt.seed);
+      cluster.attach_injector(&injector);
+      std::optional<adapt::AdaptiveController> controller;
+      if (side == 1) {
+        controller.emplace(topo.site_count(), topo.total_votes(),
+                           adapt::AdaptiveController::Options{});
+        cluster.attach_adaptive(&*controller);
+      }
+      cluster.run_until(horizon);
+      decided += cluster.outcomes().size();
+    }
+    r.items = decided;
   });
 }
 
@@ -582,10 +629,13 @@ int main(int argc, char** argv) {
     const auto t4949 = net::make_fully_connected(101);
     cases.push_back(bench_sim_e2e(opt, "topology4949", t4949, 150'000, 10'000));
   }
+  cases.push_back(bench_msg_cluster_drift(opt));
   cases.push_back(bench_model_tiny_line(opt));
   for (CaseResult& r : cases) {
     finish_rates(r);
-    if (r.name.rfind("sim_e2e_", 0) == 0) r.accesses_per_sec = r.ops_per_sec();
+    if (r.name.rfind("sim_e2e_", 0) == 0 || r.name == "msg_cluster_drift") {
+      r.accesses_per_sec = r.ops_per_sec();
+    }
     if (r.name.rfind("model_", 0) == 0) r.states_per_sec = r.ops_per_sec();
   }
 
