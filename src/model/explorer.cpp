@@ -164,10 +164,10 @@ msg::Cluster Explorer::make_cluster() const {
   return Cluster(topo, params, /*seed=*/1);
 }
 
-void Explorer::enabled_transitions(const msg::Cluster& c,
-                                   std::uint32_t submitted,
-                                   std::uint32_t faulted,
-                                   std::vector<Transition>& out) const {
+void Explorer::enabled_transitions(
+    const msg::Cluster& c, std::uint32_t submitted, std::uint32_t faulted,
+    std::vector<Cluster::ModelEvent>& events,
+    std::vector<Transition>& out) const {
   // Submits and faults lead the list: DFS then tries the schedules that
   // interleave them early in the protocol first, which is where seeded
   // mutations bite — pure delivery permutations come after. Exhaustive
@@ -191,7 +191,7 @@ void Explorer::enabled_transitions(const msg::Cluster& c,
     t.key = 0xFA17ull << 32 | i;
     out.push_back(std::move(t));
   }
-  const std::vector<Cluster::ModelEvent> events = c.model_enabled_events();
+  c.model_enabled_events(events);
   for (const Cluster::ModelEvent& e : events) {
     Transition t;
     t.choice.kind = Choice::Kind::kEvent;
@@ -250,9 +250,10 @@ void Explorer::stored_qr_versions(const msg::Cluster& c,
 
 std::optional<Violation> Explorer::check_state(
     const msg::Cluster& c, const std::vector<std::uint64_t>& prev_qr,
-    const std::vector<std::uint64_t>& cur_qr) const {
+    const std::vector<std::uint64_t>& cur_qr,
+    msg::SafetyScratch& scratch) const {
   Violation v;
-  v.safety = msg::check_safety(c);
+  v.safety = msg::check_safety(c, scratch);
 
   // qr-monotonicity: §2.2 requires stored assignment versions to only
   // ever move forward; a decrease would resurrect a superseded quorum.
@@ -336,7 +337,14 @@ static_assert(kMaxModelStates <= kRunNextMask / 4096,
 } // namespace
 
 void Explorer::VisitedTable::clear() {
-  slots_.assign(1024, Slot{});
+  // The table keeps the size it grew to, emptied: a later run of the same
+  // scope grows it just as far, so that run never grows (or allocates).
+  // No count depends on the table's size, only on the keys it holds.
+  if (slots_.empty()) {
+    slots_.resize(1024);
+  } else {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+  }
   size_ = 0;
   runs_.assign(1, 0);
 }
@@ -392,17 +400,18 @@ void Explorer::VisitedTable::grow() {
   }
 }
 
-bool Explorer::dfs(const msg::Cluster& cur, std::uint32_t submitted,
-                   std::uint32_t faulted, std::uint64_t depth,
-                   const std::vector<std::uint64_t>& prev_qr,
-                   std::vector<Choice>& path) {
+bool Explorer::dfs(std::uint32_t submitted, std::uint32_t faulted,
+                   std::uint64_t depth,
+                   const std::vector<std::uint64_t>& prev_qr) {
   ++stats_.explored;
   stats_.max_depth_seen = std::max(stats_.max_depth_seen, depth);
   Frame& f = frames_[depth];
+  const msg::Cluster& cur = *f.state;
 
   stored_qr_versions(cur, f.qr);
-  if (std::optional<Violation> v = check_state(cur, prev_qr, f.qr)) {
-    v->trace = path;
+  if (std::optional<Violation> v =
+          check_state(cur, prev_qr, f.qr, safety_scratch_)) {
+    v->trace = path_;
     found_ = std::move(v);
     return true;
   }
@@ -431,7 +440,7 @@ bool Explorer::dfs(const msg::Cluster& cur, std::uint32_t submitted,
   }
   visited_.record(slot, key, f.sleep_keys);
 
-  enabled_transitions(cur, submitted, faulted, f.todo);
+  enabled_transitions(cur, submitted, faulted, f.events, f.todo);
   if (f.todo.empty()) return false;  // quiescent: everything resolved
 
   const auto asleep = [&](const Transition& t) {
@@ -449,28 +458,27 @@ bool Explorer::dfs(const msg::Cluster& cur, std::uint32_t submitted,
   }
 
   if (frames_.size() == depth + 1) frames_.emplace_back();
-  std::vector<SleepEntry>& child_sleep = frames_[depth + 1].sleep;
+  Frame& next = frames_[depth + 1];
   for (const Transition& t : f.todo) {
-    msg::Cluster child = cur;
-    child.model_rebind();
+    // Copy-assignment reuses the storage `next` kept from its last state.
+    next.state = cur;
+    next.state->model_rebind();
     std::uint32_t child_submitted = submitted;
     std::uint32_t child_faulted = faulted;
-    apply(child, t, child_submitted, child_faulted);
+    apply(*next.state, t, child_submitted, child_faulted);
     ++stats_.transitions;
 
     // Sleep entries independent of t stay asleep in the child; a
     // dependent one is woken (its orderings relative to t now matter).
-    child_sleep.clear();
+    next.sleep.clear();
     for (const SleepEntry& z : f.sleep) {
       const bool dependent = z.global || t.global || z.site == t.site;
-      if (!dependent) child_sleep.push_back(z);
+      if (!dependent) next.sleep.push_back(z);
     }
 
-    path.push_back(t.choice);
-    if (dfs(child, child_submitted, child_faulted, depth + 1, f.qr, path)) {
-      return true;
-    }
-    path.pop_back();
+    path_.push_back(t.choice);
+    if (dfs(child_submitted, child_faulted, depth + 1, f.qr)) return true;
+    path_.pop_back();
     if (stats_.state_capped) return false;
 
     if (opt_.dpor) f.sleep.push_back(SleepEntry{t.key, t.site, t.global});
@@ -482,14 +490,19 @@ std::optional<Violation> Explorer::run() {
   stats_ = Stats{};
   visited_.clear();
   found_.reset();
+  path_.clear();
 
-  msg::Cluster root = make_cluster();
   if (frames_.empty()) frames_.emplace_back();
-  frames_[0].sleep.clear();
-  std::vector<std::uint64_t> root_qr;
-  stored_qr_versions(root, root_qr);
-  std::vector<Choice> path;
-  dfs(root, 0, 0, 0, root_qr, path);
+  Frame& root = frames_[0];
+  if (!root.state) {
+    root.state.emplace(make_cluster());
+    root.state->model_rebind();
+  }
+  root.sleep.clear();
+  // The initial state has no predecessor: its QR versions are compared
+  // with themselves.
+  stored_qr_versions(*root.state, root.qr);
+  dfs(0, 0, 0, root.qr);
   return std::move(found_);
 }
 
@@ -502,8 +515,9 @@ std::optional<Violation> Explorer::replay(
   stored_qr_versions(c, prev_qr);
   std::vector<std::uint64_t> cur_qr;
   std::vector<Choice> done;
+  msg::SafetyScratch scratch;
 
-  if (std::optional<Violation> v = check_state(c, prev_qr, prev_qr)) {
+  if (std::optional<Violation> v = check_state(c, prev_qr, prev_qr, scratch)) {
     v->trace = done;
     return v;
   }
@@ -547,7 +561,7 @@ std::optional<Violation> Explorer::replay(
     }
     done.push_back(choice);
     stored_qr_versions(c, cur_qr);
-    if (std::optional<Violation> v = check_state(c, prev_qr, cur_qr)) {
+    if (std::optional<Violation> v = check_state(c, prev_qr, cur_qr, scratch)) {
       v->trace = done;
       return v;
     }

@@ -81,9 +81,12 @@ struct Options {
 /// Bounded explicit-state exploration of a `.model` scope against the
 /// real `msg::Cluster` protocol code. Depth-first over every admissible
 /// schedule (per-direction FIFO is the only delivery-order constraint),
-/// snapshotting the cluster by value at each branch point; at every state
-/// it runs `msg::check_safety` plus the model-level properties and stops
-/// at the first violation.
+/// snapshotting the cluster at each branch point by copy-assignment into
+/// the cluster its DFS depth keeps; at every state it runs
+/// `msg::check_safety` plus the model-level properties and stops at the
+/// first violation. Everything a state needs lives in per-depth frames
+/// and explorer members that keep their capacity, so exploration stops
+/// allocating once they are warm, and a second run() allocates nothing.
 ///
 /// Reduction: sleep sets over a conservative independence relation —
 /// deliveries/timers at distinct sites commute; submissions and faults
@@ -100,6 +103,7 @@ public:
   explicit Explorer(const Scope& scope, Options opt = {});
 
   /// Explores until the first violation, exhaustion, or a budget cap.
+  /// The first call builds the initial cluster; later calls reuse it.
   std::optional<Violation> run();
   const Stats& stats() const noexcept { return stats_; }
 
@@ -127,13 +131,16 @@ private:
     net::SiteId site = 0;
     bool global = false;
   };
-  /// Scratch owned by one DFS depth, reused by every state expanded
-  /// there: once the frames have grown, the explorer's own bookkeeping
-  /// allocates nothing per state.
+  /// The state expanded at one DFS depth plus that depth's scratch,
+  /// reused by every state expanded there. A child is copy-assigned into
+  /// the next depth's `state`, which keeps that cluster's capacity: once
+  /// the frames have grown, a state allocates nothing.
   struct Frame {
+    std::optional<msg::Cluster> state;     // frames_[0]: the initial state
     std::vector<SleepEntry> sleep;         // grows as siblings finish
     std::vector<std::uint64_t> sleep_keys; // `sleep`'s keys, sorted
     std::vector<Transition> todo;          // awake enabled transitions
+    std::vector<msg::Cluster::ModelEvent> events;  // todo's source
     std::vector<std::uint64_t> qr;         // stored QR versions here
   };
 
@@ -147,6 +154,7 @@ private:
     using Key = std::array<std::uint64_t, 2>;
 
     VisitedTable() { clear(); }
+    /// Empties the table, keeping the size it has grown to.
     void clear();
     /// The slot holding `key`, or the empty slot where it would go.
     std::size_t find(const Key& key) const;
@@ -172,22 +180,25 @@ private:
   };
 
   msg::Cluster make_cluster() const;
+  /// Fills `out` with the transitions enabled in `c`, listing its events
+  /// through the scratch vector `events`.
   void enabled_transitions(const msg::Cluster& c, std::uint32_t submitted,
                            std::uint32_t faulted,
+                           std::vector<msg::Cluster::ModelEvent>& events,
                            std::vector<Transition>& out) const;
   void apply(msg::Cluster& c, const Transition& t, std::uint32_t& submitted,
              std::uint32_t& faulted) const;
   std::optional<Violation> check_state(
       const msg::Cluster& c, const std::vector<std::uint64_t>& prev_qr,
-      const std::vector<std::uint64_t>& cur_qr) const;
+      const std::vector<std::uint64_t>& cur_qr,
+      msg::SafetyScratch& scratch) const;
   void stored_qr_versions(const msg::Cluster& c,
                           std::vector<std::uint64_t>& out) const;
 
-  /// Expands `cur` with the sleep set the caller left in frames_[depth].
-  bool dfs(const msg::Cluster& cur, std::uint32_t submitted,
-           std::uint32_t faulted, std::uint64_t depth,
-           const std::vector<std::uint64_t>& prev_qr,
-           std::vector<Choice>& path);
+  /// Expands frames_[depth].state with the sleep set the caller left in
+  /// frames_[depth]; `path_` holds the schedule that reached it.
+  bool dfs(std::uint32_t submitted, std::uint32_t faulted,
+           std::uint64_t depth, const std::vector<std::uint64_t>& prev_qr);
 
   const Scope* scope_;
   Options opt_;
@@ -195,7 +206,9 @@ private:
   std::optional<Violation> found_;
   VisitedTable visited_;
   std::deque<Frame> frames_;  // by depth; deque keeps references stable
+  std::vector<Choice> path_;  // schedule from the initial state
   std::vector<std::uint64_t> words_;  // canonical stream of the state
+  msg::SafetyScratch safety_scratch_;
 };
 
 } // namespace quora::model

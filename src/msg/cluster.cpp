@@ -35,6 +35,29 @@ const char* deny_reason_name(DenyReason reason) {
   return "unknown";
 }
 
+std::size_t Cluster::PendingTable::at(std::uint64_t request) const {
+  const std::size_t i = find(request);
+  if (i == npos) {
+    throw std::logic_error("Cluster: no open coordination for request " +
+                           std::to_string(request));
+  }
+  return i;
+}
+
+void Cluster::PendingTable::append(std::uint64_t request, const Pending& p) {
+  if (!entries_.empty() && request <= entries_.back().request) {
+    throw std::logic_error("Cluster: coordination request ids must grow");
+  }
+  entries_.push_back(Entry{request, p});
+  rows_.resize(rows_.size() + 2 * stride_, 0);
+}
+
+void Cluster::PendingTable::erase(std::size_t i) {
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+  const auto first = rows_.begin() + static_cast<std::ptrdiff_t>(2 * i * stride_);
+  rows_.erase(first, first + static_cast<std::ptrdiff_t>(2 * stride_));
+}
+
 Cluster::Cluster(const net::Topology& topo, Params params, std::uint64_t seed)
     : topo_(&topo),
       params_(params),
@@ -93,7 +116,7 @@ Cluster::Cluster(const net::Topology& topo, Params params, std::uint64_t seed)
   copies_.assign(topo.site_count(), Copy{});
   leases_.assign(topo.site_count(), Lease{});
   oracle_cache_.assign(topo.site_count(), OracleEntry{});
-  pending_.resize(topo.site_count());
+  pending_.assign(topo.site_count(), PendingTable(topo.site_count()));
   floods_.resize(topo.site_count());
   fifo_clock_.assign(2 * static_cast<std::size_t>(topo.link_count()), 0.0);
   dir_blocked_.assign(2 * static_cast<std::size_t>(topo.link_count()), 0);
@@ -417,12 +440,14 @@ void Cluster::submit_access(net::SiteId origin, bool is_read) {
   p.submit_time = now_;
   p.oracle_granted = oracle;
   p.write_value = request;  // written payload: the request id (test-visible)
-  pending_[origin][request] = p;
+  pending_[origin].append(request, p);
   start_coordination(origin, request);
 }
 
 void Cluster::start_coordination(net::SiteId origin, std::uint64_t request) {
-  Pending& p = pending_[origin][request];
+  PendingTable& table = pending_[origin];
+  const std::size_t i = table.at(request);
+  Pending& p = table[i];
   // Fresh attempt: snapshot the locally stored assignment and copy. A
   // retry re-reads both — the previous attempt may have adopted a newer
   // QR assignment from a stale-deny, or seen a commit land locally.
@@ -433,9 +458,8 @@ void Cluster::start_coordination(net::SiteId origin, std::uint64_t request) {
   p.votes = topo_->votes(origin);
   p.denied = 0;
   p.acked = 0;
-  p.repliers.clear();
-  p.repliers.insert(origin);
-  p.ackers.clear();
+  table.clear_rows(i);
+  table.insert(i, PendingTable::Row::kRepliers, origin);
   p.best_version = copies_[origin].version;
   p.best_value = copies_[origin].value;
   QUORA_OBS_ONLY(p.obs_attempt_start = now_;)
@@ -471,29 +495,30 @@ void Cluster::start_coordination(net::SiteId origin, std::uint64_t request) {
   timer.phase = 1;
   push(timer);
 
-  // Single-site quorums decide immediately.
-  Pending& live_p = pending_[origin][request];
-  if (live_p.is_read && live_p.spec.allows_read(live_p.votes)) {
+  // Single-site quorums decide immediately. (The flood and the timer only
+  // queued events: `table` gained no entry, so `p` is still in place.)
+  if (p.is_read && p.spec.allows_read(p.votes)) {
     decide(origin, request, true);
-  } else if (!live_p.is_read && live_p.spec.allows_write(live_p.votes)) {
+  } else if (!p.is_read && p.spec.allows_write(p.votes)) {
     // Degenerate write quorum: apply locally, done.
-    live_p.phase = 2;
-    QUORA_METRIC_RECORD(obs_phase1_latency_, now_ - live_p.obs_attempt_start);
-    QUORA_OBS_ONLY(live_p.obs_phase2_start = now_;)
-    live_p.best_version = live_p.best_version + 1;
-    copies_[origin] = Copy{live_p.write_value, live_p.best_version};
+    p.phase = 2;
+    QUORA_METRIC_RECORD(obs_phase1_latency_, now_ - p.obs_attempt_start);
+    QUORA_OBS_ONLY(p.obs_phase2_start = now_;)
+    p.best_version = p.best_version + 1;
+    copies_[origin] = Copy{p.write_value, p.best_version};
     if (leases_[origin].request == request) leases_[origin] = Lease{};
-    live_p.acked = topo_->votes(origin);
-    live_p.ackers.insert(origin);
+    p.acked = topo_->votes(origin);
+    table.insert(i, PendingTable::Row::kAckers, origin);
     if (maybe_crash_on_commit(origin, request)) return;
     decide(origin, request, true);
   }
 }
 
 void Cluster::retry(net::SiteId coordinator, std::uint64_t old_request) {
-  const auto it = pending_[coordinator].find(old_request);
-  Pending p = std::move(it->second);
-  pending_[coordinator].erase(it);
+  PendingTable& table = pending_[coordinator];
+  const std::size_t i = table.at(old_request);
+  Pending p = table[i];
+  table.erase(i);
   if (!p.is_read) {
     // Release our own lease and flood an abort so remote leases for the
     // dead attempt free up instead of starving the retry.
@@ -523,7 +548,7 @@ void Cluster::retry(net::SiteId coordinator, std::uint64_t old_request) {
        static_cast<unsigned long long>(old_request), coordinator, p.attempt,
        static_cast<unsigned long long>(request));
 
-  pending_[coordinator].emplace(request, std::move(p));
+  table.append(request, p);
   Event e;
   e.time = now_ + backoff;
   e.kind = Kind::kRetry;
@@ -534,9 +559,10 @@ void Cluster::retry(net::SiteId coordinator, std::uint64_t old_request) {
 
 void Cluster::decide(net::SiteId coordinator, std::uint64_t request,
                      bool granted, DenyReason reason) {
-  const auto it = pending_[coordinator].find(request);
-  if (it == pending_[coordinator].end()) return;
-  const Pending& p = it->second;
+  PendingTable& table = pending_[coordinator];
+  const std::size_t i = table.find(request);
+  if (i == PendingTable::npos) return;
+  const Pending& p = table[i];
 
   AccessOutcome out;
   out.submit_time = p.submit_time;
@@ -588,7 +614,7 @@ void Cluster::decide(net::SiteId coordinator, std::uint64_t request,
        static_cast<unsigned long long>(out.version), p.attempt);
 
   const bool abort_write = !p.is_read && !granted;
-  pending_[coordinator].erase(it);
+  table.erase(i);
   ++decided_;
 
   if (abort_write) abort_flood(coordinator, request);
@@ -709,10 +735,11 @@ void Cluster::handle_delivery(const Event& e) {
         relay_toward_coordinator(here, m);
         return;
       }
-      const auto it = pending_[here].find(m.request);
-      if (it == pending_[here].end() || it->second.phase != 1) return;
-      Pending& p = it->second;
-      if (!p.repliers.insert(m.replier)) return;
+      PendingTable& table = pending_[here];
+      const std::size_t i = table.find(m.request);
+      if (i == PendingTable::npos || table[i].phase != 1) return;
+      Pending& p = table[i];
+      if (!table.insert(i, PendingTable::Row::kRepliers, m.replier)) return;
       if (m.qr_version > p.qr_version) {
         // The replier holds a newer QR assignment than this coordination
         // ran under: the access must not proceed. (We already adopted the
@@ -739,10 +766,11 @@ void Cluster::handle_delivery(const Event& e) {
         relay_toward_coordinator(here, m);
         return;
       }
-      const auto it = pending_[here].find(m.request);
-      if (it == pending_[here].end() || it->second.phase != 1) return;
-      Pending& p = it->second;
-      if (!p.repliers.insert(m.replier)) return;
+      PendingTable& table = pending_[here];
+      const std::size_t i = table.find(m.request);
+      if (i == PendingTable::npos || table[i].phase != 1) return;
+      Pending& p = table[i];
+      if (!table.insert(i, PendingTable::Row::kRepliers, m.replier)) return;
       p.votes += m.votes;
       if (m.version > p.best_version) {
         p.best_version = m.version;
@@ -761,7 +789,7 @@ void Cluster::handle_delivery(const Event& e) {
         copies_[here] = Copy{p.write_value, p.best_version};
         if (leases_[here].request == m.request) leases_[here] = Lease{};
         p.acked = topo_->votes(here);
-        p.ackers.insert(here);
+        table.insert(i, PendingTable::Row::kAckers, here);
         floods_[here].set(flood_key(m.request, 2), FloodWindow::kNoParent);
 
         Message commit;
@@ -803,10 +831,11 @@ void Cluster::handle_delivery(const Event& e) {
         relay_toward_coordinator(here, m);
         return;
       }
-      const auto it = pending_[here].find(m.request);
-      if (it == pending_[here].end() || it->second.phase != 2) return;
-      Pending& p = it->second;
-      if (!p.ackers.insert(m.replier)) return;
+      PendingTable& table = pending_[here];
+      const std::size_t i = table.find(m.request);
+      if (i == PendingTable::npos || table[i].phase != 2) return;
+      Pending& p = table[i];
+      if (!table.insert(i, PendingTable::Row::kAckers, m.replier)) return;
       p.acked += m.votes;
       if (p.spec.allows_write(p.acked)) decide(here, m.request, true);
       return;
@@ -815,10 +844,11 @@ void Cluster::handle_delivery(const Event& e) {
 }
 
 void Cluster::handle_timer(const Event& e) {
-  const auto it = pending_[e.target].find(e.request);
-  if (it == pending_[e.target].end()) return;    // already decided
-  if (it->second.phase != e.phase) return;       // superseded by phase 2
-  const Pending& p = it->second;
+  const PendingTable& table = pending_[e.target];
+  const std::size_t i = table.find(e.request);
+  if (i == PendingTable::npos) return;           // already decided
+  const Pending& p = table[i];
+  if (p.phase != e.phase) return;                // superseded by phase 2
   const bool budget_ok =
       params_.access_budget <= 0.0 ||
       now_ - p.submit_time < params_.access_budget;
@@ -867,8 +897,7 @@ void Cluster::on_site_failed(net::SiteId s) {
   // model checker must rediscover as a duplicate commit version.)
   if (!params_.mutations.skip_crash_cleanup) {
     while (!pending_[s].empty()) {
-      decide(s, pending_[s].begin()->first, false,
-             DenyReason::kCoordinatorCrash);
+      decide(s, pending_[s].request(0), false, DenyReason::kCoordinatorCrash);
     }
   }
   floods_[s].clear();
@@ -1125,10 +1154,9 @@ void Cluster::step(const Event& e) {
       apply_fault(injector_->timeline()[e.index]);
       break;
     case Kind::kRetry: {
-      const auto it = pending_[e.target].find(e.request);
       // The coordinator may have crashed while backing off (the pending
       // entry resolves as coordinator-crash when the site fails).
-      if (it == pending_[e.target].end()) break;
+      if (pending_[e.target].find(e.request) == PendingTable::npos) break;
       if (!live_.is_site_up(e.target)) break;
       start_coordination(e.target, e.request);
       break;

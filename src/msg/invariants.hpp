@@ -73,15 +73,27 @@ struct SafetyView {
   const std::vector<Cluster::InstallRecord>* installs = nullptr;
 };
 
+/// Working storage of one audit. A caller that audits many states (the
+/// model checker audits every one it explores) keeps one and passes it to
+/// every call: the vectors keep their capacity, so a warm audit of a safe
+/// state allocates nothing. The contents between calls mean nothing.
+struct SafetyScratch {
+  std::vector<std::uint64_t> commit_prefix_max;
+  std::vector<std::uint64_t> install_prefix_max;
+  std::vector<std::uint64_t> versions;
+};
+
 /// Audit the given histories against the protocol's safety invariants
 /// (see `Invariant` above). These must hold under ANY fault plan —
 /// partitions, flaps, message drop/duplication, crash-during-commit.
 ///
 /// Liveness (availability) is deliberately NOT checked here — fault plans
 /// are free to make the system unavailable; they must never make it wrong.
+SafetyReport check_safety(const SafetyView& view, SafetyScratch& scratch);
 SafetyReport check_safety(const SafetyView& view);
 
-/// Convenience overload auditing a finished (or paused) run of `cluster`.
+/// Convenience overloads auditing a finished (or paused) run of `cluster`.
+SafetyReport check_safety(const Cluster& cluster, SafetyScratch& scratch);
 SafetyReport check_safety(const Cluster& cluster);
 
 } // namespace quora::msg

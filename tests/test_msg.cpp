@@ -276,26 +276,20 @@ TEST(Cluster, RunUntilThrowsInModelMode) {
   EXPECT_EQ(cluster.now(), before);  // the logical clock did not jump
 }
 
-// A by-value copy taken mid-run carries the in-flight events (their slab,
-// its free slots and the key heap) and must replay exactly what the
-// original does from there on.
-TEST(Cluster, MidRunCopyReplaysLikeTheOriginal) {
-  const net::Topology topo = net::make_ring_with_chords(13, 3);
+// Parameters of the mid-run copy tests: retries, and crashes that clear
+// flood windows and coordinator tables mid-run.
+Cluster::Params mid_run_params() {
   Cluster::Params p;
   p.spec = quorum::from_read_quorum(13, 5);
   p.mean_hop_latency = 0.01;
   p.phase_timeout = 0.3;
   p.max_retries = 2;
-  p.config.reliability = 0.92;  // crashes clear flood windows mid-run
-  Cluster original(topo, p, 77);
-  original.run_until(40.0);
-  ASSERT_GT(original.outcomes().size(), 100u);
+  p.config.reliability = 0.92;
+  return p;
+}
 
-  Cluster copy = original;
-  copy.model_rebind();
-  copy.run_until(120.0);  // the copy runs first: no shared state leaks back
-  original.run_until(120.0);
-
+/// Same outcomes, message count and commit log.
+void expect_same_run(const Cluster& copy, const Cluster& original) {
   ASSERT_EQ(copy.outcomes().size(), original.outcomes().size());
   for (std::size_t i = 0; i < original.outcomes().size(); ++i) {
     const AccessOutcome& a = original.outcomes()[i];
@@ -314,6 +308,44 @@ TEST(Cluster, MidRunCopyReplaysLikeTheOriginal) {
     EXPECT_EQ(copy.commits()[i].version, original.commits()[i].version);
     EXPECT_EQ(copy.commits()[i].decide_time, original.commits()[i].decide_time);
   }
+}
+
+// A by-value copy taken mid-run carries the in-flight events (their slab,
+// its free slots and the key heap) and must replay exactly what the
+// original does from there on.
+TEST(Cluster, MidRunCopyReplaysLikeTheOriginal) {
+  const net::Topology topo = net::make_ring_with_chords(13, 3);
+  Cluster original(topo, mid_run_params(), 77);
+  original.run_until(40.0);
+  ASSERT_GT(original.outcomes().size(), 100u);
+
+  Cluster copy = original;
+  copy.model_rebind();
+  copy.run_until(120.0);  // the copy runs first: no shared state leaks back
+  original.run_until(120.0);
+
+  expect_same_run(copy, original);
+  EXPECT_GT(original.outcomes().size(), 300u);
+}
+
+// The same through copy-assignment over a cluster that ran further on
+// another seed (longer logs, a bigger slab and heap, wider flood windows
+// and coordinator tables): assignment must leave nothing of it behind.
+TEST(Cluster, MidRunAssignmentReplaysLikeTheOriginal) {
+  const net::Topology topo = net::make_ring_with_chords(13, 3);
+  Cluster original(topo, mid_run_params(), 77);
+  original.run_until(40.0);
+  Cluster copy(topo, mid_run_params(), 78);
+  copy.run_until(90.0);
+  ASSERT_GT(copy.outcomes().size(), original.outcomes().size());
+  ASSERT_GT(copy.messages_sent(), original.messages_sent());
+
+  copy = original;
+  copy.model_rebind();
+  copy.run_until(120.0);
+  original.run_until(120.0);
+
+  expect_same_run(copy, original);
   EXPECT_GT(original.outcomes().size(), 300u);
 }
 
